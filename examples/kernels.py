@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Simulation kernels: selection, threading, and the parity guarantee.
 
-Bit-parallel MIG simulation runs on one of three interchangeable
+Bit-parallel MIG simulation runs on one of two interchangeable
 kernels (``repro.mig.kernel``): **bigint** — Python integers as
-simulation words, always available, the reference engine; **numpy** —
-per-gate ``uint64`` lane rows; and **numpy-batch** — the level-batched
-multi-core engine, which gathers each MIG level's operand rows into
-contiguous 2-D arrays (a handful of large ufunc calls per level
-instead of per-gate dispatch) and fans pattern chunks over a thread
-pool.  All three are bit-identical on every routed operation, so this
-script sweeps the same truth tables across the whole inventory and
-diffs them, then shows the two knobs — backend and worker threads — at
-every layer they surface: kernel scopes, ``Session`` arguments, and
-the ``--backend``/``--sim-threads`` flags whose precedence mirrors
+simulation words, always available, the reference engine; and
+**numpy** — the level-batched multi-core engine, which gathers each
+MIG level's operand rows into contiguous 2-D ``uint64`` arrays (a
+handful of large ufunc calls per level instead of per-gate dispatch)
+and fans pattern chunks over a thread pool.  Both are bit-identical on
+every routed operation, so this script sweeps the same truth tables
+across the inventory and diffs them, then shows the two knobs —
+backend and worker threads — at every layer they surface: kernel
+scopes, ``Session`` arguments, and the ``--backend``/``--sim-threads``
+flags whose precedence mirrors
 ``$REPRO_SIM_BACKEND``/``$REPRO_SIM_THREADS``.
 
 Run:  python examples/kernels.py
@@ -47,7 +47,7 @@ def main() -> None:
         f"2^{mig.num_pis} exhaustive patterns\n"
     )
 
-    print("Kernel inventory (auto prefers the last importable one):")
+    print("Kernel inventory (auto prefers numpy when importable):")
     auto = kernel.resolve_backend("auto")
     for name in kernel.available_backends():
         marker = "  <- auto" if name == auto.name else ""
@@ -74,8 +74,8 @@ def main() -> None:
 
     # -- 2. the worker pool: pattern chunks fanned over threads --------
     if kernel.numpy_available():
-        print("numpy-batch across worker-pool sizes (same bits out):")
-        with kernel.backend_scope("numpy-batch"):
+        print("numpy across worker-pool sizes (same bits out):")
+        with kernel.backend_scope("numpy"):
             for threads in sorted({1, 2, kernel.DEFAULT_SIM_THREADS}):
                 with kernel.sim_threads_scope(threads):
                     tables, seconds = _timed_tables(mig)
@@ -89,7 +89,7 @@ def main() -> None:
     # Flow runs and matrix evaluations enter activated() on their own;
     # entering it by hand scopes hand-driven kernel APIs the same way.
     # On the command line the equivalent wiring is
-    #   python -m repro table1 --backend numpy-batch --sim-threads 2
+    #   python -m repro table1 --backend numpy --sim-threads 2
     session = Session(preset=PRESET, backend="auto", sim_threads=1)
     with session.activated() as active:
         print(
@@ -99,10 +99,9 @@ def main() -> None:
         assert equivalent(mig, mig.clone())
     print("exhaustive equivalence vs a clone inside the session: OK\n")
 
-    print("Also honoured by every kernel: $REPRO_SIM_CHUNK_BITS pins the")
-    print("log2 chunk width (clamped to [7, 20]); and a kernel failure at")
-    print("runtime demotes the affected job one step down the")
-    print("numpy-batch -> numpy -> bigint chain with identical results.")
+    print("A classified numpy fault at runtime (an injected kernel_fail or")
+    print("a MemoryError) demotes the affected job to bigint with identical")
+    print("results; any other engine error propagates.")
 
 
 if __name__ == "__main__":

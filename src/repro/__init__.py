@@ -74,7 +74,6 @@ from .core.manager import (
     CompilationResult,
     EnduranceConfig,
     PRESETS,
-    compile_with_management,
     full_management,
 )
 from .core.stats import WriteTrafficStats
@@ -143,7 +142,6 @@ __all__ = [
     "available_sources",
     "available_strategies",
     "build_benchmark",
-    "compile_with_management",
     "create_cache_server",
     "create_server",
     "equivalent",

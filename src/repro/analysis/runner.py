@@ -876,11 +876,10 @@ def evaluate_mig_cached(
         gates=mig.num_live_gates(),
     )
     labels: Dict[str, Tuple] = {}
-    # One degradation scope per job: a numpy-kernel failure demotes the
-    # rest of *this* benchmark's compilations one step down the
-    # (bit-identical) numpy-batch -> numpy -> bigint chain and is
-    # recorded in its manifests; the next benchmark tries the full
-    # engine again.
+    # One degradation scope per job: a classified numpy-kernel fault
+    # demotes the rest of *this* benchmark's compilations to the
+    # (bit-identical) bigint kernel and is recorded in its manifests;
+    # the next benchmark tries the numpy engine again.
     with degradation_scope(mig.name):
         for cfg in configs:
             label = result_label(cfg)

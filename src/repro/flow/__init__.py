@@ -15,8 +15,7 @@ is provisioned:
 
 Every harness entry point — CLI subcommands, table/report generation,
 sweeps, the benchmark conftest, the examples — routes through this
-layer; the legacy ``compile_with_management`` / ``evaluate_suite``
-functions survive only as deprecated shims over it.
+layer.
 """
 
 from .session import (

@@ -88,7 +88,7 @@ from ..analysis.runner import (
 PRESET_CHOICES: List[str] = ["tiny", "default", "paper"]
 
 #: Simulation backends selectable per session (see repro.mig.kernel).
-BACKEND_CHOICES: List[str] = ["auto", "bigint", "numpy", "numpy-batch"]
+BACKEND_CHOICES: List[str] = ["auto", "bigint", "numpy"]
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ class Session:
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.cache_url = str(cache_url) if cache_url else None
         if cache is not None:
-            # Adopt an existing cache (legacy shims, shared harnesses);
+            # Adopt an existing cache (shared harnesses);
             # its disk root — possibly none — wins over the cache_dir
             # argument, so the session never claims persistence the
             # adopted cache doesn't have.
@@ -319,7 +319,7 @@ class Session:
                 default=None,
                 metavar="N",
                 help=(
-                    "simulation worker threads for the numpy-batch kernel "
+                    "simulation worker threads for the numpy kernel "
                     "(default: $REPRO_SIM_THREADS if set, else "
                     "min(4, cpu count))"
                 ),

@@ -10,45 +10,42 @@ interchangeable:
 * :class:`BigintKernel` — the reference engine.  Simulation words are
   plain Python integers; every gate costs a handful of bigint boolean
   operations.  Always available, no dependencies.
-* :class:`NumpyKernel` — packs the pattern window into ``uint64`` lane
-  arrays (64 patterns per lane) and compiles each graph once into a flat
-  program of whole-row numpy operations (4–6 per gate), so wide sweeps
-  run at array speed with no per-pattern Python.
-* :class:`NumpyBatchKernel` — the level-batched, multi-threaded engine.
-  Gates are grouped by MIG level (fanins always sit at strictly lower
-  levels, so a whole level is data-independent) and each level executes
-  as a handful of large 2-D ufunc calls over ``(gates_in_level, lanes)``
-  matrices via precomputed gather indices, instead of 4–6 scalar-row
-  ops per gate.  Exhaustive sweeps additionally fan pattern chunks out
-  over a small worker-thread pool (numpy ufuncs release the GIL), sized
-  by ``$REPRO_SIM_THREADS`` / :func:`resolve_sim_threads`.
+* :class:`NumpyKernel` — the level-batched ``uint64`` lane-array
+  engine.  Patterns are packed 64 per lane; gates are grouped by MIG
+  level (fanins always sit at strictly lower levels, so a whole level
+  is data-independent) and each level executes as a handful of large
+  2-D ufunc calls over ``(gates_in_level, lanes)`` matrices via
+  precomputed gather indices.  Exhaustive sweeps additionally fan
+  pattern chunks out over a small worker-thread pool (numpy ufuncs
+  release the GIL), sized by ``$REPRO_SIM_THREADS`` /
+  :func:`resolve_sim_threads`.
 
-All kernels consume the same flat gate records — complement attributes
-pre-folded into XOR masks, so none pays per-pattern complement
-branches — and all speak Python-int words at the boundary: a kernel's
-outputs are bit-identical to the reference engine's, which the
+Both kernels consume the same flat gate records — complement attributes
+pre-folded into XOR masks, so neither pays per-pattern complement
+branches — and both speak Python-int words at the boundary: the numpy
+kernel's outputs are bit-identical to the reference engine's, which the
 backend-parity tests assert over random graphs and the full registry.
 
 Selection
 ---------
 :func:`get_kernel` resolves the active kernel: an explicit
 :func:`set_backend` override wins, then the ``REPRO_SIM_BACKEND``
-environment variable (``bigint``, ``numpy``, ``numpy-batch``, or
-``auto``), then auto-detection (the batch kernel when numpy is
-importable, bigint otherwise).  Requesting a numpy engine without numpy
-installed fails loudly rather than silently degrading.
+environment variable (``bigint``, ``numpy``, or ``auto``), then
+auto-detection (numpy when importable, bigint otherwise).  Requesting
+the numpy kernel without numpy installed fails loudly rather than
+silently degrading.
 
 Degradation
 -----------
-Selection failures are loud, but *runtime* failures inside the numpy
-engines degrade gracefully: every kernel is bit-identical, so a fault
-mid-job is recoverable by recomputing one step down the chain
-**numpy-batch → numpy → bigint**.  Every numpy dispatch is guarded — on
-failure the call falls back to the next engine, a ``kernel_degraded``
-event is recorded (:mod:`repro.resilience.events`, surfaced in run
-manifests), and inside a :func:`degradation_scope` the demotion is
-*sticky* per engine for the rest of the job, so a faulting engine is
-not re-tried gate-by-gate.
+Selection failures are loud, and so are engine defects: only
+*classified* runtime faults — an injected chaos fault
+(:class:`~repro.resilience.errors.FaultInjected`) or ``MemoryError`` —
+demote a numpy dispatch to the bigint kernel.  Both kernels are
+bit-identical, so the demoted call recomputes the same words; a
+``kernel_degraded`` event is recorded (:mod:`repro.resilience.events`,
+surfaced in run manifests), and inside a :func:`degradation_scope` the
+demotion is *sticky* for the rest of the job, so a faulting engine is
+not re-tried gate-by-gate.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..resilience import events as _res_events
 from ..resilience import faults as _res_faults
-from ..resilience.errors import StageTimeoutError
+from ..resilience.errors import FaultInjected
 from .graph import Mig
 
 #: Environment variable naming the simulation backend.
@@ -70,9 +67,6 @@ BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
 
 #: Environment variable sizing the simulation worker-thread pool.
 THREADS_ENV_VAR = "REPRO_SIM_THREADS"
-
-#: Environment variable pinning the exhaustive chunk width (log2).
-CHUNK_BITS_ENV_VAR = "REPRO_SIM_CHUNK_BITS"
 
 try:  # numpy is optional: the bigint kernel needs nothing beyond CPython
     import numpy as _np
@@ -205,33 +199,13 @@ def _run_tasks(tasks, threads: int) -> list:
 
     Serial when a single task (or thread) makes threading pointless.
     Exceptions propagate to the caller — the dispatching kernel's
-    degradation guard treats them like any other engine failure.
+    degradation guard classifies them like any other engine failure.
     """
     if threads <= 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     pool = _thread_pool(min(threads, len(tasks)))
     futures = [pool.submit(task) for task in tasks]
     return [future.result() for future in futures]
-
-
-def _env_chunk_bits() -> Optional[int]:
-    """``$REPRO_SIM_CHUNK_BITS`` clamped to a sane window, or ``None``.
-
-    The clamp keeps the override inside what the engines support: at
-    least 2^7 patterns (below that every kernel's fast paths decline
-    anyway) and at most the exhaustive ceiling of 2^20.
-    """
-    raw = os.environ.get(CHUNK_BITS_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {CHUNK_BITS_ENV_VAR}={raw!r}; expected an integer "
-            "log2 chunk width"
-        ) from None
-    return max(7, min(bits, 20))
 
 
 def _bigint_simulate(mig: Mig, pi_values: Sequence[int], mask: int) -> List[int]:
@@ -273,11 +247,7 @@ class BigintKernel:
         2^13-bit words keep every node value L1/L2-resident, where
         CPython's bigint boolean loops run near memory speed; wider words
         were measured slower in PR 1's chunking experiments.
-        ``$REPRO_SIM_CHUNK_BITS`` pins the width explicitly.
         """
-        env = _env_chunk_bits()
-        if env is not None:
-            return env
         return 13
 
     def simulate(
@@ -287,24 +257,29 @@ class BigintKernel:
 
 
 # ----------------------------------------------------------------------
-# Graceful degradation (numpy-batch -> numpy -> bigint)
+# Graceful degradation (numpy -> bigint) on classified faults
 # ----------------------------------------------------------------------
 
 #: Per-thread stack of degradation frames; a frame marks a job boundary
-#: within which a numpy-engine failure demotes every later dispatch.
+#: within which a numpy-engine fault demotes every later dispatch.
 _DEGRADE = threading.local()
+
+#: Engine failures that demote a dispatch to the reference kernel: an
+#: injected chaos fault or resource exhaustion.  Anything else is a
+#: defect in the engine and propagates.
+_DEMOTABLE = (FaultInjected, MemoryError)
 
 
 @contextmanager
 def degradation_scope(job: Optional[str] = None):
     """Mark a job boundary for sticky numpy-kernel demotion.
 
-    Inside the scope, the first runtime failure of a numpy engine
-    demotes *this thread's* remaining dispatches one step down the
-    **numpy-batch → numpy → bigint** chain (each demotion recorded as a
-    ``kernel_degraded`` event tagged with *job*); the demotions end with
-    the scope, so the next job tries the full engine again.  Outside any
-    scope failures still fall back, but per call.  The job runner enters
+    Inside the scope, the first classified fault of the numpy engine
+    (see :data:`_DEMOTABLE`) demotes *this thread's* remaining
+    dispatches to the bigint kernel (recorded as a ``kernel_degraded``
+    event tagged with *job*); the demotion ends with the scope, so the
+    next job tries the numpy engine again.  Outside any scope faults
+    still fall back, but per call.  The job runner enters
     one scope per (benchmark, configurations) job — in worker processes
     and the serial path alike.  Yields the frame dict (``{"job": ...,
     "demoted": set-of-engine-names}``) so tests can observe demotion.
@@ -336,7 +311,7 @@ def _demoted(backend: str) -> bool:
 
 
 def _demote(error: BaseException, backend: str, fallback: str) -> None:
-    """Record an engine failure and make the demotion scope-sticky."""
+    """Record an engine fault and make the demotion scope-sticky."""
     frame = _degrade_frame()
     if frame is not None:
         frame["demoted"].add(backend)
@@ -350,7 +325,7 @@ def _demote(error: BaseException, backend: str, fallback: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# numpy engines: shared plan compilation + executables
+# numpy engine: plan compilation + executables
 # ----------------------------------------------------------------------
 
 #: Pattern windows at or below one uint64 lane stay on the bigint
@@ -360,96 +335,6 @@ _NUMPY_MIN_WIDTH = 65
 #: Soft cap on the node-value matrix (bytes); exhaustive chunks shrink
 #: until ``num_nodes * lanes * 8`` fits.
 _NUMPY_MEM_BUDGET = 64 << 20
-
-#: Tighter per-thread cap for the level-batched engine: its gather
-#: passes read rows from across the whole matrix (no per-gate temporal
-#: locality), so it wants the working set near cache-resident.  This is
-#: the *fallback* when the actual last-level cache size cannot be read
-#: from sysfs — see :func:`_batch_mem_budget`.
-_BATCH_MEM_BUDGET = 8 << 20
-
-#: Clamp window for the detected budget: below 1 MiB the chunks get too
-#: narrow to amortise ufunc dispatch, above 64 MiB the "cache-resident"
-#: premise no longer holds (and the generic engine's budget takes over).
-_BATCH_BUDGET_MIN = 1 << 20
-_BATCH_BUDGET_MAX = 64 << 20
-
-#: sysfs directory describing cpu0's cache hierarchy.
-_SYSFS_CACHE_DIR = "/sys/devices/system/cpu/cpu0/cache"
-
-
-def _parse_cache_size(text: str) -> Optional[int]:
-    """Bytes of a sysfs cache ``size`` value (``'32K'``, ``'8M'``, …)."""
-    text = text.strip().upper()
-    scale = 1
-    if text.endswith("K"):
-        scale, text = 1 << 10, text[:-1]
-    elif text.endswith("M"):
-        scale, text = 1 << 20, text[:-1]
-    elif text.endswith("G"):
-        scale, text = 1 << 30, text[:-1]
-    try:
-        size = int(text)
-    except ValueError:
-        return None
-    return size * scale if size > 0 else None
-
-
-def _detect_llc_bytes(base: str = _SYSFS_CACHE_DIR) -> Optional[int]:
-    """The largest level>=2 unified/data cache reported by sysfs.
-
-    That is the last-level cache the batch engine's gather passes
-    actually stream through — L1 is far too small to hold a value
-    matrix and instruction caches are irrelevant.  Any unreadable or
-    malformed entry is skipped; ``None`` means "nothing detected" and
-    the caller falls back to the static default.
-    """
-    try:
-        indexes = sorted(os.listdir(base))
-    except OSError:
-        return None
-    best = None
-    for index in indexes:
-        if not index.startswith("index"):
-            continue
-        path = os.path.join(base, index)
-        try:
-            with open(os.path.join(path, "level")) as fh:
-                level = int(fh.read().strip())
-            with open(os.path.join(path, "type")) as fh:
-                kind = fh.read().strip()
-            with open(os.path.join(path, "size")) as fh:
-                size = _parse_cache_size(fh.read())
-        except (OSError, ValueError):
-            continue
-        if level < 2 or kind not in ("Unified", "Data") or size is None:
-            continue
-        if best is None or size > best:
-            best = size
-    return best
-
-
-_BATCH_BUDGET_CACHE: Optional[int] = None
-
-
-def _batch_mem_budget() -> int:
-    """Per-thread working-set budget of the level-batched engine.
-
-    Derived once per process from the machine's detected last-level
-    cache size (sysfs), clamped to
-    [:data:`_BATCH_BUDGET_MIN`, :data:`_BATCH_BUDGET_MAX`]; when sysfs
-    is unavailable (containers, non-Linux) the static
-    :data:`_BATCH_MEM_BUDGET` default applies.  ``$REPRO_SIM_CHUNK_BITS``
-    still pins the chunk width outright, bypassing the budget entirely.
-    """
-    global _BATCH_BUDGET_CACHE
-    if _BATCH_BUDGET_CACHE is None:
-        detected = _detect_llc_bytes()
-        budget = detected if detected is not None else _BATCH_MEM_BUDGET
-        _BATCH_BUDGET_CACHE = max(
-            _BATCH_BUDGET_MIN, min(budget, _BATCH_BUDGET_MAX)
-        )
-    return _BATCH_BUDGET_CACHE
 
 #: Executables kept per thread per plan (distinct widths); interleaved
 #: widths — e.g. serve jobs at different presets on one warm graph —
@@ -518,116 +403,18 @@ def _compile_gate_program(mig: Mig):
     return program, po_extract
 
 
-def _budget_chunk_bits(num_nodes: int, budget: int = _NUMPY_MEM_BUDGET) -> int:
-    """Widest exhaustive chunk whose value matrix fits *budget* bytes.
+def _budget_chunk_bits(num_nodes: int) -> int:
+    """Widest exhaustive chunk whose value matrix fits the memory budget.
 
     Wide rows amortise numpy dispatch overhead, so prefer 2^18 patterns
     (32 KiB per node row) and shrink — never below the bigint kernel's
-    2^13 — for graphs whose node count would blow the working-set
-    budget.  ``$REPRO_SIM_CHUNK_BITS`` (handled by the callers) pins the
-    width explicitly instead.
+    2^13 — for graphs whose node count would blow
+    :data:`_NUMPY_MEM_BUDGET`.
     """
     bits = 18
-    while bits > 13 and (num_nodes << (bits - 6 + 3)) > budget:
+    while bits > 13 and (num_nodes << (bits - 6 + 3)) > _NUMPY_MEM_BUDGET:
         bits -= 1
     return bits
-
-
-def _tls_executable(plan, num_lanes: int, width: int):
-    """This thread's executable for *width*, via a per-width LRU.
-
-    Executables (value matrices + work buffers) are bound per thread —
-    the worker pool's sweep threads and concurrent ``serve`` jobs each
-    own their buffers, so no lock serializes simulation of a shared warm
-    graph — and cached per width in a small LRU, so interleaved widths
-    (jobs at different presets on one graph) rebind instead of
-    rebuilding on every call.
-    """
-    cache = getattr(plan._tls, "cache", None)
-    if cache is None:
-        cache = plan._tls.cache = OrderedDict()
-    exe = cache.get(width)
-    if exe is not None:
-        cache.move_to_end(width)
-        return exe
-    exe = plan._build_executable(num_lanes, width)
-    cache[width] = exe
-    if len(cache) > _EXEC_LRU_SIZE:
-        cache.popitem(last=False)
-    return exe
-
-
-class _Exec:
-    """Per-thread, per-width buffers + bound op list (per-gate engine).
-
-    The complement row ``full`` carries the window's tail mask in its
-    last lane, so every value row keeps the invariant "bits at or above
-    *width* are zero" and extraction never re-masks.  ``exh_width``
-    memoizes which width's low/middle exhaustive stimulus currently
-    fills the PI rows (``None`` when they hold arbitrary words).
-    """
-
-    __slots__ = ("width", "vals", "ops", "tmp", "full", "exh_width")
-
-    def __init__(self, width, vals, ops, tmp, full) -> None:
-        self.width = width
-        self.vals = vals
-        self.ops = ops
-        self.tmp = tmp
-        self.full = full
-        self.exh_width: Optional[int] = None
-
-    def run(self, plan) -> None:
-        for f, x, y, out in self.ops:
-            f(x, y, out=out)
-
-
-class _NumpyPlan:
-    """Per-graph compiled form for the per-gate numpy kernel.
-
-    The compiled gate program (see :func:`_compile_gate_program`) is a
-    flat list of binary ``(ufunc, x, y, out)`` row operations — 4 per
-    gate plus one per surviving pair complement — bound to concrete
-    array rows once per (thread, lane width) and replayed for every
-    chunk.  The plan lives in the graph's ``_derived`` memo, hence is
-    invalidated by any mutation alongside ``flat_gates``.
-    """
-
-    __slots__ = ("num_nodes", "pi_rows", "po_extract", "gate_program", "_tls")
-
-    def __init__(self, mig: Mig) -> None:
-        self.num_nodes = mig.num_nodes
-        # Value rows are indexed by node id; PI "rows" are the PI nodes.
-        self.pi_rows = mig.pis()
-        self.gate_program, self.po_extract = _compile_gate_program(mig)
-        self._tls = threading.local()
-
-    def executable(self, num_lanes: int, width: int) -> _Exec:
-        return _tls_executable(self, num_lanes, width)
-
-    def _build_executable(self, num_lanes: int, width: int) -> _Exec:
-        np = _np
-        vals = np.empty((self.num_nodes, num_lanes), dtype=np.uint64)
-        vals[0] = 0  # constant-false node; dead rows are never read
-        tmp = np.empty(num_lanes, dtype=np.uint64)
-        full = np.full(num_lanes, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-        if width & 63:
-            full[-1] = (1 << (width & 63)) - 1
-        bxor, band = np.bitwise_xor, np.bitwise_and
-        ops = []
-        append = ops.append
-        for node, a, b, c, fab, fbc in self.gate_program:
-            row_b = vals[b]
-            out = vals[node]
-            append((bxor, row_b, vals[c], tmp))
-            if fbc:
-                append((bxor, tmp, full, tmp))
-            append((bxor, vals[a], row_b, out))
-            if fab:
-                append((bxor, out, full, out))
-            append((band, out, tmp, out))
-            append((bxor, out, row_b, out))
-        return _Exec(width, vals, ops, tmp, full)
 
 
 class _BatchLevel:
@@ -654,13 +441,19 @@ class _BatchLevel:
 
 
 class _BatchExec:
-    """Per-thread, per-width buffers for the level-batched engine."""
+    """Per-thread, per-width buffers for the level-batched engine.
 
-    __slots__ = ("width", "vals", "buf_b", "buf_t", "tmp", "full", "exh_width")
+    The complement row ``full`` carries the window's tail mask in its
+    last lane, so every value row keeps the invariant "bits at or above
+    *width* are zero" and extraction never re-masks.  ``exh_width``
+    memoizes which width's low/middle exhaustive stimulus currently
+    fills the PI rows (``None`` when they hold arbitrary words).
+    """
+
+    __slots__ = ("vals", "buf_b", "buf_t", "tmp", "full", "exh_width")
 
     def __init__(self, plan, num_lanes: int, width: int) -> None:
         np = _np
-        self.width = width
         self.vals = np.empty((plan.num_rows, num_lanes), dtype=np.uint64)
         self.vals[0] = 0  # constant-false row
         self.buf_b = np.empty((plan.max_gates, num_lanes), dtype=np.uint64)
@@ -710,9 +503,9 @@ class _BatchPlan:
     Node values live in a *packed* row order — constant, PIs, then gates
     grouped by level (topological within a level) — so each level's
     outputs are one contiguous matrix slice and the whole level runs as
-    a few large ufunc calls (see :class:`_BatchExec.run`).  Compiled
-    from the same polarity-propagated gate program as the per-gate plan,
-    hence bit-identical by construction; cached in ``_derived`` like it.
+    a few large ufunc calls (see :class:`_BatchExec.run`).  Cached in
+    the graph's ``_derived`` memo, hence invalidated by any mutation
+    alongside ``flat_gates``.
     """
 
     __slots__ = (
@@ -779,10 +572,26 @@ class _BatchPlan:
         self._tls = threading.local()
 
     def executable(self, num_lanes: int, width: int) -> _BatchExec:
-        return _tls_executable(self, num_lanes, width)
+        """This thread's executable for *width*, via a per-width LRU.
 
-    def _build_executable(self, num_lanes: int, width: int) -> _BatchExec:
-        return _BatchExec(self, num_lanes, width)
+        Executables (value matrices + work buffers) are bound per thread
+        — the worker pool's sweep threads and concurrent ``serve`` jobs
+        each own their buffers, so no lock serializes simulation of a
+        shared warm graph — and cached per width in a small LRU, so
+        interleaved widths (jobs at different presets on one graph)
+        rebind instead of rebuilding on every call.
+        """
+        cache = getattr(self._tls, "cache", None)
+        if cache is None:
+            cache = self._tls.cache = OrderedDict()
+        exe = cache.get(width)
+        if exe is not None:
+            cache.move_to_end(width)
+            return exe
+        exe = cache[width] = _BatchExec(self, num_lanes, width)
+        if len(cache) > _EXEC_LRU_SIZE:
+            cache.popitem(last=False)
+        return exe
 
 
 #: 64-pattern stimulus words for variables 0..5 (period <= one lane).
@@ -796,21 +605,13 @@ _P64 = (
 )
 
 
-def _numpy_plan(mig: Mig) -> _NumpyPlan:
+def _batch_plan(mig: Mig) -> _BatchPlan:
     # Benign race: concurrent first callers may compile twice; the plans
     # are identical and last-write wins.
     plan = mig._derived.get("numpy_plan")
     if plan is None:
-        plan = _NumpyPlan(mig)
-        mig._derived["numpy_plan"] = plan
-    return plan
-
-
-def _batch_plan(mig: Mig) -> _BatchPlan:
-    plan = mig._derived.get("numpy_batch_plan")
-    if plan is None:
         plan = _BatchPlan(mig)
-        mig._derived["numpy_batch_plan"] = plan
+        mig._derived["numpy_plan"] = plan
     return plan
 
 
@@ -944,143 +745,50 @@ def _lane_cuts(num_lanes: int, threads: int) -> List[int]:
 
 
 class NumpyKernel:
-    """uint64 lane-array engine replaying a precompiled row program."""
+    """Level-batched, multi-threaded uint64 lane-array engine.
+
+    Independent gates of one MIG level execute together as a handful of
+    large 2-D ufunc calls (:class:`_BatchExec.run`), amortising numpy
+    dispatch overhead over the whole level; exhaustive sweeps
+    additionally split their pattern windows across the simulation
+    worker-thread pool (:func:`resolve_sim_threads`) — ufuncs release
+    the GIL, so the chunks genuinely run on multiple cores, each thread
+    binding its own executable buffers.  Classified faults (see
+    :data:`_DEMOTABLE`) demote to the bit-identical bigint kernel.
+    """
 
     name = "numpy"
     #: Randomized checks sweep 16 lanes per round.
     random_width = 1024
 
     def chunk_bits_for(self, mig: Mig) -> int:
-        env = _env_chunk_bits()
-        if env is not None:
-            return env
-        return _budget_chunk_bits(mig.num_nodes)
+        """Budget-sized chunk width, widened by the thread count.
 
-    def simulate(
-        self, mig: Mig, pi_values: Sequence[int], mask: int
-    ) -> List[int]:
-        width = mask.bit_length()
-        if width < _NUMPY_MIN_WIDTH or _demoted(self.name):
-            return _bigint_simulate(mig, pi_values, mask)
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            return self._numpy_simulate(mig, pi_values, mask, width)
-        except StageTimeoutError:
-            raise  # a blown stage budget is not an engine failure
-        except Exception as error:
-            # Both engines are bit-identical, so recomputing on the
-            # reference kernel preserves the artefact exactly.
-            _demote(error, self.name, "bigint")
-            return _bigint_simulate(mig, pi_values, mask)
-
-    def _numpy_simulate(
-        self, mig: Mig, pi_values: Sequence[int], mask: int, width: int
-    ) -> List[int]:
-        plan = _numpy_plan(mig)
-        num_lanes = (width + 63) >> 6
-        exe = plan.executable(num_lanes, width)
-        exe.exh_width = None  # PI rows now hold arbitrary words
-        for row, word in zip(plan.pi_rows, pi_values):
-            exe.vals[row] = _word_to_lanes(word & mask, num_lanes)
-        exe.run(plan)
-        return _extract_words(plan, exe)
-
-    def exhaustive_window(
-        self, mig: Mig, base: int, width: int
-    ) -> Optional[List[int]]:
-        """Evaluate the exhaustive window ``[base, base + width)``.
-
-        Fast path used by :func:`repro.mig.simulate.exhaustive_chunks`
-        (see :func:`_fill_exhaustive` for the native stimulus).  Returns
-        ``None`` when the window is too narrow for this kernel (the
-        caller falls back to the generic path) — and when the engine is
-        demoted or fails, for the same reason: the generic path
-        re-dispatches through :meth:`simulate`, which lands on the
-        reference engine.
+        With a worker pool the window is widened by log2(threads) — the
+        exhaustive paths split it back into per-thread sub-windows, so
+        the budget stays per-thread while the pool gets enough patterns
+        to keep every core busy.
         """
-        if width < _NUMPY_MIN_WIDTH or _demoted(self.name):
-            return None
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            plan = _numpy_plan(mig)
-            return _extract_words(plan, _run_window(plan, base, width))
-        except StageTimeoutError:
-            raise
-        except Exception as error:
-            _demote(error, self.name, "bigint")
-            return None
-
-    def exhaustive_equivalent(
-        self, a: Mig, b: Mig, chunk_bits: int
-    ) -> Optional[bool]:
-        """Exhaustively compare two same-interface MIGs window by window.
-
-        Fast path used by :func:`repro.mig.simulate.equivalent`: both
-        graphs are swept with :meth:`exhaustive_window`'s stimulus and
-        their output *rows* are compared lane-wise, skipping the
-        int-conversion boundary entirely — on output-heavy graphs that
-        boundary dominates the sweep.  Early-exits on the first
-        differing window.  Returns ``None`` (caller falls back to the
-        generic chunk-zip) when the windows are too narrow.
-        """
-        num_patterns = 1 << a.num_pis
-        width = min(num_patterns, 1 << chunk_bits)
-        if width < _NUMPY_MIN_WIDTH or _demoted(self.name):
-            return None
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            plan_a, plan_b = _numpy_plan(a), _numpy_plan(b)
-            for base in range(0, num_patterns, width):
-                if not _windows_equal(plan_a, plan_b, base, width):
-                    return False
-            return True
-        except StageTimeoutError:
-            raise
-        except Exception as error:
-            _demote(error, self.name, "bigint")
-            return None
-
-
-class NumpyBatchKernel:
-    """Level-batched, multi-threaded uint64 lane-array engine.
-
-    Independent gates of one MIG level execute together as a handful of
-    large 2-D ufunc calls (:class:`_BatchExec.run`), amortising numpy
-    dispatch overhead that the per-gate engine pays 4–6 times per gate;
-    exhaustive sweeps additionally split their pattern windows across
-    the simulation worker-thread pool (:func:`resolve_sim_threads`) —
-    ufuncs release the GIL, so the chunks genuinely run on multiple
-    cores, each thread binding its own executable buffers.  Runtime
-    failures demote to the per-gate :class:`NumpyKernel` (which itself
-    demotes to bigint), keeping results bit-identical through the chain.
-    """
-
-    name = "numpy-batch"
-    #: Same randomized word width as the per-gate engine, so both draw
-    #: identical random rounds (and hence identical counterexamples).
-    random_width = 1024
-
-    def chunk_bits_for(self, mig: Mig) -> int:
-        """Cache-targeted chunk width, widened by the thread count.
-
-        The gather passes read rows from across the whole value matrix,
-        so a single thread wants the matrix near cache-resident — the
-        budget is the machine's detected last-level cache size
-        (:func:`_batch_mem_budget`, sysfs-derived with a static
-        fallback); with a worker pool the window is widened by
-        log2(threads) — the exhaustive paths split it back into
-        per-thread sub-windows of the cache-friendly size, so the
-        budget stays per-thread while the pool gets enough patterns to
-        keep every core busy.
-        """
-        env = _env_chunk_bits()
-        if env is not None:
-            return env
-        bits = _budget_chunk_bits(mig.num_nodes, _batch_mem_budget())
+        bits = _budget_chunk_bits(mig.num_nodes)
         threads = resolve_sim_threads()
         if threads > 1:
             bits = min(18, bits + (threads - 1).bit_length())
         return bits
+
+    def _guarded(self, run, fallback):
+        """``run()`` on the numpy engine, or ``fallback()`` once demoted.
+
+        A classified fault demotes the engine (scope-sticky, see
+        :func:`degradation_scope`); any other exception propagates.
+        """
+        if _demoted(self.name):
+            return fallback()
+        try:
+            _res_faults.kernel_fault(_degrade_job())  # chaos hook
+            return run()
+        except _DEMOTABLE as error:
+            _demote(error, self.name, _BIGINT.name)
+            return fallback()
 
     # -- simulate ------------------------------------------------------
 
@@ -1090,16 +798,10 @@ class NumpyBatchKernel:
         width = mask.bit_length()
         if width < _NUMPY_MIN_WIDTH:
             return _bigint_simulate(mig, pi_values, mask)
-        if _demoted(self.name):
-            return _NUMPY.simulate(mig, pi_values, mask)
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            return self._batch_simulate(mig, pi_values, mask, width)
-        except StageTimeoutError:
-            raise
-        except Exception as error:
-            _demote(error, self.name, _NUMPY.name)
-            return _NUMPY.simulate(mig, pi_values, mask)
+        return self._guarded(
+            lambda: self._batch_simulate(mig, pi_values, mask, width),
+            lambda: _bigint_simulate(mig, pi_values, mask),
+        )
 
     def _batch_simulate(
         self, mig: Mig, pi_values: Sequence[int], mask: int, width: int
@@ -1154,25 +856,23 @@ class NumpyBatchKernel:
     def exhaustive_window(
         self, mig: Mig, base: int, width: int
     ) -> Optional[List[int]]:
-        """Threaded exhaustive window (see :class:`NumpyKernel` docs).
+        """Evaluate the exhaustive window ``[base, base + width)``.
 
-        A single wide window — e.g. the whole 2^18-pattern sweep of an
-        18-input multiplier — is split into per-thread sub-windows and
-        reassembled bytewise, so even one-chunk exhaustive paths scale
-        with cores.  On failure, demotes to the per-gate engine.
+        Fast path used by :func:`repro.mig.simulate.exhaustive_chunks`
+        (see :func:`_fill_exhaustive` for the native stimulus).  A single
+        wide window — e.g. the whole 2^18-pattern sweep of an 18-input
+        multiplier — is split into per-thread sub-windows and reassembled
+        bytewise, so even one-chunk exhaustive paths scale with cores.
+        Returns ``None`` when the window is too narrow for this kernel
+        (the caller falls back to the generic path) — and when the engine
+        is demoted, for the same reason: the generic path re-dispatches
+        through :meth:`simulate`, which lands on the reference engine.
         """
         if width < _NUMPY_MIN_WIDTH:
             return None
-        if _demoted(self.name):
-            return _NUMPY.exhaustive_window(mig, base, width)
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            return self._batch_window(mig, base, width)
-        except StageTimeoutError:
-            raise
-        except Exception as error:
-            _demote(error, self.name, _NUMPY.name)
-            return _NUMPY.exhaustive_window(mig, base, width)
+        return self._guarded(
+            lambda: self._batch_window(mig, base, width), lambda: None
+        )
 
     def _batch_window(self, mig: Mig, base: int, width: int) -> List[int]:
         plan = _batch_plan(mig)
@@ -1195,25 +895,26 @@ class NumpyBatchKernel:
     def exhaustive_equivalent(
         self, a: Mig, b: Mig, chunk_bits: int
     ) -> Optional[bool]:
-        """Threaded exhaustive equivalence (see :class:`NumpyKernel` docs).
+        """Exhaustively compare two same-interface MIGs window by window.
 
-        The window sweep is striped across the worker pool; a mismatch
-        in any thread early-exits the others at their next window.
+        Fast path used by :func:`repro.mig.simulate.equivalent`: both
+        graphs are swept with :meth:`exhaustive_window`'s stimulus and
+        their output *rows* are compared lane-wise, skipping the
+        int-conversion boundary entirely — on output-heavy graphs that
+        boundary dominates the sweep.  The window sweep is striped
+        across the worker pool; a mismatch in any thread early-exits the
+        others at their next window.  Returns ``None`` (caller falls
+        back to the generic chunk-zip) when the windows are too narrow
+        or the engine is demoted.
         """
         num_patterns = 1 << a.num_pis
         width = min(num_patterns, 1 << chunk_bits)
         if width < _NUMPY_MIN_WIDTH:
             return None
-        if _demoted(self.name):
-            return _NUMPY.exhaustive_equivalent(a, b, chunk_bits)
-        try:
-            _res_faults.kernel_fault(_degrade_job())  # chaos hook
-            return self._batch_equivalent(a, b, num_patterns, width)
-        except StageTimeoutError:
-            raise
-        except Exception as error:
-            _demote(error, self.name, _NUMPY.name)
-            return _NUMPY.exhaustive_equivalent(a, b, chunk_bits)
+        return self._guarded(
+            lambda: self._batch_equivalent(a, b, num_patterns, width),
+            lambda: None,
+        )
 
     def _batch_equivalent(
         self, a: Mig, b: Mig, num_patterns: int, width: int
@@ -1260,7 +961,6 @@ class NumpyBatchKernel:
 
 _BIGINT = BigintKernel()
 _NUMPY = NumpyKernel() if _np is not None else None
-_NUMPY_BATCH = NumpyBatchKernel() if _np is not None else None
 
 #: Explicit override installed by :func:`set_backend`; beats the
 #: environment variable.
@@ -1273,37 +973,31 @@ _SCOPE = threading.local()
 
 
 def numpy_available() -> bool:
-    """Whether the numpy backends can be used in this process."""
+    """Whether the numpy backend can be used in this process."""
     return _NUMPY is not None
 
 
 def available_backends() -> List[str]:
     """Names of the kernels importable in this process."""
-    names = [_BIGINT.name]
-    if _NUMPY is not None:
-        names.append(_NUMPY.name)
-    if _NUMPY_BATCH is not None:
-        names.append(_NUMPY_BATCH.name)
-    return names
+    return [_BIGINT.name] + ([_NUMPY.name] if _NUMPY is not None else [])
 
 
 def _resolve(name: str):
-    if name in ("bigint", "python"):
+    if name == "bigint":
         return _BIGINT
-    if name in ("numpy", "numpy-batch", "batch"):
-        kernel = _NUMPY if name == "numpy" else _NUMPY_BATCH
-        if kernel is None:
+    if name == "numpy":
+        if _NUMPY is None:
             raise ImportError(
-                f"{BACKEND_ENV_VAR}/set_backend requested the {name!r} "
+                f"{BACKEND_ENV_VAR}/set_backend requested the 'numpy' "
                 "simulation backend but numpy is not importable; install "
                 "numpy or select the 'bigint' backend"
             )
-        return kernel
+        return _NUMPY
     if name == "auto":
-        return _NUMPY_BATCH if _NUMPY_BATCH is not None else _BIGINT
+        return _NUMPY if _NUMPY is not None else _BIGINT
     raise ValueError(
         f"unknown simulation backend {name!r}; "
-        f"choose one of: auto, bigint, numpy, numpy-batch"
+        f"choose one of: auto, bigint, numpy"
     )
 
 
@@ -1311,7 +1005,7 @@ def resolve_backend(name: str):
     """Resolve a backend *name* to its kernel without installing it.
 
     Validates availability the same way :func:`set_backend` does —
-    requesting a numpy engine without numpy raises ``ImportError``, an
+    requesting the numpy kernel without numpy raises ``ImportError``, an
     unknown name raises ``ValueError`` — so callers (e.g.
     :class:`repro.flow.Session`) can fail fast at construction time.
     """

@@ -11,7 +11,7 @@ for free.
 The rewriting *scripts* of the reproduced paper (Algorithm 1, the PLiM
 compiler script of [Soeken et al., DAC'16], and Algorithm 2, the
 endurance-aware script) are sequences of these passes; they live in
-:mod:`repro.core.rewriting`.
+:mod:`repro.opt.scripts`.
 """
 
 from __future__ import annotations

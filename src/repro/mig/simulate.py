@@ -9,11 +9,11 @@ rewriting passes.
 
 The gate-evaluation engine is pluggable (:mod:`repro.mig.kernel`): the
 pure-Python bigint kernel is always available, and the optional numpy
-kernels evaluate the same flat gate records (complement attributes
-pre-folded into XOR masks) as whole-array ``uint64`` operations — per
-gate (``numpy``) or a whole MIG level at a time across a worker-thread
-pool (``numpy-batch``).  Every function here speaks Python-int words
-regardless of the active kernel, and all kernels are bit-identical
+kernel evaluates the same flat gate records (complement attributes
+pre-folded into XOR masks) as whole-array ``uint64`` operations, a
+whole MIG level at a time, fanning exhaustive windows over a
+worker-thread pool.  Every function here speaks Python-int words
+regardless of the active kernel, and both kernels are bit-identical
 (asserted by the parity tests).
 
 Exhaustive runs past the kernel's chunk width are evaluated in

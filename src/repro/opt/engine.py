@@ -13,8 +13,7 @@ Three strategies ship built in:
 ``script`` (default)
     The legacy fixed pipelines: the configuration's rewriting script
     (``none``/``dac16``/``endurance``) replayed exactly as
-    :mod:`repro.opt.scripts` defines it.  Parity-tested byte-identical
-    to the historic :mod:`repro.core.rewriting` path.
+    :mod:`repro.opt.scripts` defines it.
 ``greedy``
     Cost-guided hill climbing: each round applies every candidate pass
     (the atomic axioms *and* the two script cycles as composite

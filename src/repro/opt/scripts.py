@@ -29,9 +29,7 @@ structure; a final ``Omega.I(R->L)`` removes triple-complemented nodes::
 
 The paper sets ``effort = 5`` for all experiments; so do the defaults
 here.  These fixed pipelines are the ``script`` strategy of the
-cost-guided optimisation layer (:mod:`repro.opt.engine`); the historic
-module :mod:`repro.core.rewriting` survives as a deprecated shim over
-this one.
+cost-guided optimisation layer (:mod:`repro.opt.engine`).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ policies and mechanisms they share.
 from . import events
 from .errors import (
     FaultInjected,
-    KernelDegradedError,
     PermanentFault,
     ReproError,
     RetriesExhaustedError,
@@ -66,7 +65,6 @@ __all__ = [
     "FaultDirective",
     "FaultInjected",
     "FaultPlan",
-    "KernelDegradedError",
     "MANIFEST_SCHEMA",
     "PermanentFault",
     "RETRY_ENV_VAR",

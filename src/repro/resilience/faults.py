@@ -26,11 +26,12 @@ Grammar
                           (the entry must simply not persist) or in a
                           remote-cache request (the client must degrade
                           to direct disk access)
-``kernel_fail``           numpy-kernel dispatch: raise inside ``simulate`` —
-                          must demote the job one step down the
-                          numpy-batch → numpy → bigint chain (each
-                          engine's dispatch checks the hook, so
-                          ``count=2`` walks the whole chain)
+``kernel_fail``           numpy-kernel dispatch: raise
+                          :class:`FaultInjected` inside ``simulate`` —
+                          must demote the job's numpy dispatches to the
+                          bigint kernel until its degradation scope
+                          ends (a demoted dispatch skips the hook, so a
+                          second fire lands on the next job scope)
 ========================  =====================================================
 
 Keys: ``job=NAME`` restricts a directive to one benchmark/source;

@@ -116,10 +116,11 @@ class TestBackendOption:
         assert main(["fig2", "--backend", "bigint"]) == 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["table1", "--backend", "quantum"]
-            )
+        for backend in ("quantum", "numpy-batch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["table1", "--backend", backend]
+                )
 
     def test_backend_does_not_change_artifacts(self, capsys):
         """bigint is the reference engine; pinning it must not change

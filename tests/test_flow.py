@@ -4,17 +4,15 @@ import pickle
 
 import pytest
 
-from repro.analysis import report, tables
+from repro.analysis import report
 from repro.analysis.runner import ExperimentCache
 from repro.core.manager import (
     PRESETS,
     compile_pipeline,
-    compile_with_management,
     full_management,
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
 from repro.mig.kernel import get_kernel, set_backend
-from repro.synth.arithmetic import build_adder
 
 SUBSET = ["adder", "dec"]
 
@@ -327,40 +325,6 @@ class TestObserverHooks:
 
 
 class TestLegacyShims:
-    def test_compile_with_management_warns_and_matches(self):
-        mig = build_adder(width=4)
-        with pytest.warns(DeprecationWarning, match="compile_with_management"):
-            legacy = compile_with_management(mig, PRESETS["ea-full"])
-        flow = Flow.for_config("ea-full", session=Session()).source_mig(mig).run()
-        assert legacy.num_instructions == flow.compilation.num_instructions
-        assert (
-            legacy.program.write_counts() == flow.program.write_counts()
-        )
-
-    def test_evaluate_suite_warns(self):
-        with pytest.warns(DeprecationWarning, match="evaluate_suite"):
-            tables.evaluate_suite(
-                preset="tiny", names=["dec"], verify=False
-            )
-
-    def test_legacy_artifacts_byte_identical(self):
-        """The acceptance parity check: tables and reports rendered via
-        the deprecated entry points match the Session/Flow path byte for
-        byte."""
-        session = Session(preset="tiny")
-        modern = session.evaluate_suite(SUBSET, caps=[10, 100], verify=False)
-        with pytest.warns(DeprecationWarning):
-            legacy = tables.evaluate_suite(
-                preset="tiny", names=SUBSET, caps=[10, 100], verify=False
-            )
-        for render in (
-            report.render_table1,
-            report.render_table2,
-            report.render_table3,
-            report.render_headline,
-        ):
-            assert render(modern) == render(legacy)
-
     def test_full_report_legacy_args_match_session_path(self):
         session = Session(preset="tiny")
         modern = session.full_report(["dec"], caps=[10, 100], verify=False)
@@ -368,20 +332,6 @@ class TestLegacyShims:
             preset="tiny", names=["dec"], caps=[10, 100], verify=False
         )
         assert modern == legacy
-
-    def test_evaluate_suite_adopts_shared_cache(self):
-        cache = ExperimentCache()
-        with pytest.warns(DeprecationWarning):
-            tables.evaluate_suite(
-                preset="tiny", names=["dec"], verify=False, cache=cache
-            )
-        assert cache.misses > 0
-        misses = cache.misses
-        with pytest.warns(DeprecationWarning):
-            tables.evaluate_suite(
-                preset="tiny", names=["dec"], verify=False, cache=cache
-            )
-        assert cache.misses == misses
 
 
 class TestMatrixThroughSession:

@@ -7,6 +7,7 @@ import pytest
 from repro.mig import kernel
 from repro.mig.graph import Mig
 from repro.mig.signal import complement
+from repro.resilience.errors import FaultInjected
 from repro.mig.simulate import (
     equivalent,
     find_counterexample,
@@ -41,7 +42,7 @@ class TestSelection:
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "bigint")
         assert kernel.get_kernel().name == "bigint"
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
-        assert kernel.get_kernel().name in ("bigint", "numpy-batch")
+        assert kernel.get_kernel().name in ("bigint", "numpy")
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
@@ -49,149 +50,32 @@ class TestSelection:
         assert kernel.get_kernel().name == "bigint"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            kernel.set_backend("cuda")
+        # The retired engine's name and the old aliases are unknown too.
+        for name in ("cuda", "numpy-batch", "batch", "python"):
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                kernel.set_backend(name)
 
     def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            kernel.get_kernel()
+        for name in ("gpu", "numpy-batch"):
+            monkeypatch.setenv(kernel.BACKEND_ENV_VAR, name)
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                kernel.get_kernel()
 
     def test_numpy_request_fails_loudly_when_absent(self, monkeypatch):
         monkeypatch.setattr(kernel, "_NUMPY", None)
-        monkeypatch.setattr(kernel, "_NUMPY_BATCH", None)
         with pytest.raises(ImportError, match="numpy"):
             kernel._resolve("numpy")
-        with pytest.raises(ImportError, match="numpy"):
-            kernel._resolve("numpy-batch")
         # auto degrades silently to bigint instead
         assert kernel._resolve("auto").name == "bigint"
         assert kernel.available_backends() == ["bigint"]
 
     @needs_numpy
-    def test_auto_prefers_numpy_batch(self):
-        assert kernel._resolve("auto").name == "numpy-batch"
+    def test_auto_prefers_numpy(self):
+        assert kernel._resolve("auto").name == "numpy"
 
     @needs_numpy
     def test_all_backends_listed(self):
-        assert kernel.available_backends() == [
-            "bigint", "numpy", "numpy-batch",
-        ]
-
-
-@needs_numpy
-class TestBackendParity:
-    """The two kernels must be bit-identical on every routed operation."""
-
-    def test_truth_tables_parity_random_migs(self):
-        for seed in range(10):
-            mig = make_random_mig(4 + seed, 20 + 15 * seed, seed=seed)
-            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
-                mig, kernel=kernel._BIGINT
-            ), f"seed {seed}"
-
-    def test_truth_tables_parity_is_chunking_invariant(self):
-        mig = make_random_mig(10, 120, seed=3)
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-        for chunk_bits in (4, 7, 8, 9, 13):
-            assert (
-                truth_tables(mig, chunk_bits=chunk_bits, kernel=kernel._NUMPY)
-                == reference
-            ), f"chunk_bits {chunk_bits}"
-
-    @pytest.mark.parametrize("width", [65, 100, 128, 129, 1000, 1024])
-    def test_simulate_parity_at_odd_widths(self, width):
-        mig = make_random_mig(7, 60, seed=11)
-        rng = random.Random(width)
-        mask = (1 << width) - 1
-        words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-        assert simulate(mig, words, mask, kernel=kernel._NUMPY) == simulate(
-            mig, words, mask, kernel=kernel._BIGINT
-        )
-
-    def test_narrow_windows_fall_back_to_bigint_results(self):
-        # Below one uint64 lane the numpy kernel delegates; outputs are
-        # trivially identical, which this asserts end to end.
-        mig = make_random_mig(4, 20, seed=5)
-        for width in (1, 7, 64):
-            rng = random.Random(width)
-            mask = (1 << width) - 1
-            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
-
-    def test_equivalent_verdicts_match(self):
-        kernel.set_backend("numpy")
-        m1 = make_random_mig(9, 70, seed=21)
-        assert equivalent(m1, m1.clone())
-        flipped = m1.clone()
-        flipped._pos[0] = complement(flipped._pos[0])
-        assert not equivalent(m1, flipped)
-        kernel.set_backend("bigint")
-        assert equivalent(m1, m1.clone())
-        assert not equivalent(m1, flipped)
-
-    def test_equivalent_after_interleaved_simulate(self):
-        # The exhaustive stimulus fast path caches filled PI rows; a
-        # generic simulate() in between must invalidate them.
-        kernel.set_backend("numpy")
-        mig = make_random_mig(8, 60, seed=23)
-        reference = truth_tables(mig)
-        rng = random.Random(0)
-        mask = (1 << 256) - 1
-        simulate(mig, [rng.getrandbits(256) for _ in range(8)], mask)
-        assert truth_tables(mig) == reference
-
-    def test_plan_invalidated_on_mutation(self):
-        kernel.set_backend("numpy")
-        mig = Mig()
-        a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
-        mig.add_po(mig.add_maj(a, b, c), "f")
-        assert truth_tables(mig) == [0b11101000]
-        mig.add_po(mig.add_xor(a, b), "x")
-        assert truth_tables(mig) == [0b11101000, 0b01100110]
-
-    def test_equivalent_is_thread_safe_on_shared_graphs(self):
-        # The kernel's window buffers are per-graph shared state; the
-        # equivalence fast path must hold both plan locks for the sweep.
-        import threading
-
-        kernel.set_backend("numpy")
-        mig = make_random_mig(9, 120, seed=31)
-        clone = mig.clone()
-        failures = []
-
-        def worker():
-            for _ in range(25):
-                if not equivalent(mig, clone):
-                    failures.append("false inequivalence")
-                    return
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-
-    def test_equivalent_same_object_both_sides(self):
-        kernel.set_backend("numpy")
-        mig = make_random_mig(8, 60, seed=33)
-        assert equivalent(mig, mig)  # single plan lock, no deadlock
-
-    def test_counterexample_parity(self):
-        m1 = Mig()
-        a, b = m1.add_pi("a"), m1.add_pi("b")
-        m1.add_po(m1.add_and(a, b), "f")
-        m2 = Mig()
-        a, b = m2.add_pi("a"), m2.add_pi("b")
-        m2.add_po(m2.add_or(a, b), "f")
-        for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
-            cex = find_counterexample(m1, m2)
-            assert cex is not None
-            assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
+        assert kernel.available_backends() == ["bigint", "numpy"]
 
 
 class TestSimThreads:
@@ -250,27 +134,6 @@ class TestSimThreads:
 
 
 class TestChunkSizing:
-    def test_env_override_wins_on_every_kernel(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "14")
-        mig = make_random_mig(6, 30, seed=1)
-        kernels = [kernel._BIGINT]
-        if kernel.numpy_available():
-            kernels += [kernel._NUMPY, kernel._NUMPY_BATCH]
-        for k in kernels:
-            assert k.chunk_bits_for(mig) == 14, k.name
-
-    def test_env_override_is_clamped(self, monkeypatch):
-        mig = make_random_mig(6, 30, seed=1)
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "40")
-        assert kernel._BIGINT.chunk_bits_for(mig) == 20
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "1")
-        assert kernel._BIGINT.chunk_bits_for(mig) == 7
-
-    def test_malformed_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernel.CHUNK_BITS_ENV_VAR, "wide")
-        with pytest.raises(ValueError, match="REPRO_SIM_CHUNK_BITS"):
-            kernel._BIGINT.chunk_bits_for(make_random_mig(4, 10, seed=1))
-
     def test_budget_shrinks_with_node_count(self):
         # Small graphs get the widest window; huge ones shrink toward
         # the bigint floor so the value matrix stays bounded.
@@ -283,96 +146,143 @@ class TestChunkSizing:
     def test_batch_widens_window_with_threads(self):
         mig = make_random_mig(6, 30, seed=1)
         with kernel.sim_threads_scope(1):
-            solo = kernel._NUMPY_BATCH.chunk_bits_for(mig)
+            solo = kernel._NUMPY.chunk_bits_for(mig)
         with kernel.sim_threads_scope(4):
-            pooled = kernel._NUMPY_BATCH.chunk_bits_for(mig)
+            pooled = kernel._NUMPY.chunk_bits_for(mig)
         assert pooled == min(18, solo + 2)
 
 
-class TestCacheBudgetDetection:
-    def test_parse_cache_size_suffixes(self):
-        assert kernel._parse_cache_size("32K") == 32 << 10
-        assert kernel._parse_cache_size("8M\n") == 8 << 20
-        assert kernel._parse_cache_size("1G") == 1 << 30
-        assert kernel._parse_cache_size("12288K") == 12288 << 10
-        assert kernel._parse_cache_size("512") == 512
-
-    def test_parse_cache_size_garbage(self):
-        assert kernel._parse_cache_size("") is None
-        assert kernel._parse_cache_size("weird") is None
-        assert kernel._parse_cache_size("-4K") is None
-        assert kernel._parse_cache_size("0") is None
-
-    def test_detect_llc_prefers_largest_level2plus(self, tmp_path):
-        # A synthetic sysfs hierarchy: L1d 32K, L1i 32K, L2 1M, L3 8M.
-        for index, (level, kind, size) in enumerate([
-            (1, "Data", "32K"),
-            (1, "Instruction", "32K"),
-            (2, "Unified", "1M"),
-            (3, "Unified", "8M"),
-        ]):
-            entry = tmp_path / f"index{index}"
-            entry.mkdir()
-            (entry / "level").write_text(f"{level}\n")
-            (entry / "type").write_text(f"{kind}\n")
-            (entry / "size").write_text(f"{size}\n")
-        assert kernel._detect_llc_bytes(str(tmp_path)) == 8 << 20
-
-    def test_detect_llc_skips_malformed_entries(self, tmp_path):
-        entry = tmp_path / "index0"
-        entry.mkdir()
-        (entry / "level").write_text("not-a-number\n")
-        assert kernel._detect_llc_bytes(str(tmp_path)) is None
-
-    def test_detect_llc_missing_sysfs(self, tmp_path):
-        assert kernel._detect_llc_bytes(str(tmp_path / "absent")) is None
-
-    def test_budget_clamped_and_memoized(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 1 << 40
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MAX
-        # Memoized: a changed detector result is not re-read.
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 1 << 10
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MAX
-
-    def test_budget_falls_back_to_static_default(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: None
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_MEM_BUDGET
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-
-    def test_tiny_detected_cache_clamps_up(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-        monkeypatch.setattr(
-            kernel, "_detect_llc_bytes", lambda base=None: 64 << 10
-        )
-        assert kernel._batch_mem_budget() == kernel._BATCH_BUDGET_MIN
-        monkeypatch.setattr(kernel, "_BATCH_BUDGET_CACHE", None)
-
-
 @needs_numpy
-class TestBatchParity:
-    """numpy-batch must be bit-identical to both other kernels."""
+class TestBackendParity:
+    """The numpy kernel must be bit-identical to bigint on every routed
+    operation.  Runs single-threaded; TestBatchParity repeats every
+    check here on the worker pool."""
+
+    threads = 1
+
+    @pytest.fixture(autouse=True)
+    def _thread_scope(self):
+        with kernel.sim_threads_scope(self.threads):
+            yield
 
     def test_truth_tables_parity_random_migs(self):
         for seed in range(10):
             mig = make_random_mig(4 + seed, 20 + 15 * seed, seed=seed)
-            reference = truth_tables(mig, kernel=kernel._BIGINT)
-            assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == reference
-            assert truth_tables(mig, kernel=kernel._NUMPY) == reference
+            assert truth_tables(mig, kernel=kernel._NUMPY) == truth_tables(
+                mig, kernel=kernel._BIGINT
+            ), f"seed {seed}"
+
+    def test_truth_tables_parity_is_chunking_invariant(self):
+        mig = make_random_mig(10, 120, seed=3)
+        reference = truth_tables(mig, kernel=kernel._BIGINT)
+        for chunk_bits in (4, 7, 8, 9, 13):
+            assert (
+                truth_tables(
+                    mig, chunk_bits=chunk_bits, kernel=kernel._NUMPY
+                )
+                == reference
+            ), f"chunk_bits {chunk_bits}"
+
+    @pytest.mark.parametrize("width", [65, 100, 128, 129, 1000, 1024])
+    def test_simulate_parity_at_odd_widths(self, width):
+        mig = make_random_mig(7, 60, seed=11)
+        rng = random.Random(width)
+        mask = (1 << width) - 1
+        words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
+        assert simulate(
+            mig, words, mask, kernel=kernel._NUMPY
+        ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
+
+    def test_narrow_windows_fall_back_to_bigint_results(self):
+        mig = make_random_mig(4, 20, seed=5)
+        for width in (1, 7, 64):
+            rng = random.Random(width)
+            mask = (1 << width) - 1
+            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
+            assert simulate(
+                mig, words, mask, kernel=kernel._NUMPY
+            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
+
+    def test_equivalent_verdicts_match(self):
+        m1 = make_random_mig(9, 70, seed=21)
+        flipped = m1.clone()
+        flipped._pos[0] = complement(flipped._pos[0])
+        for name in ("bigint", "numpy"):
+            kernel.set_backend(name)
+            assert equivalent(m1, m1.clone()), name
+            assert not equivalent(m1, flipped), name
+
+    def test_equivalent_after_interleaved_simulate(self):
+        kernel.set_backend("numpy")
+        mig = make_random_mig(8, 60, seed=23)
+        reference = truth_tables(mig)
+        rng = random.Random(0)
+        mask = (1 << 256) - 1
+        simulate(mig, [rng.getrandbits(256) for _ in range(8)], mask)
+        assert truth_tables(mig) == reference
+
+    def test_plan_invalidated_on_mutation(self):
+        kernel.set_backend("numpy")
+        mig = Mig()
+        a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
+        mig.add_po(mig.add_maj(a, b, c), "f")
+        assert truth_tables(mig) == [0b11101000]
+        mig.add_po(mig.add_xor(a, b), "x")
+        assert truth_tables(mig) == [0b11101000, 0b01100110]
+
+    def test_equivalent_is_thread_safe_on_shared_graphs(self):
+        import threading
+
+        kernel.set_backend("numpy")
+        mig = make_random_mig(9, 120, seed=31)
+        clone = mig.clone()
+        failures = []
+
+        def worker():
+            for _ in range(25):
+                if not equivalent(mig, clone):
+                    failures.append("false inequivalence")
+                    return
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not failures
+
+    def test_equivalent_same_object_both_sides(self):
+        kernel.set_backend("numpy")
+        mig = make_random_mig(8, 60, seed=33)
+        assert equivalent(mig, mig)
+
+    def test_counterexample_parity(self):
+        m1 = Mig()
+        a, b = m1.add_pi("a"), m1.add_pi("b")
+        m1.add_po(m1.add_and(a, b), "f")
+        m2 = Mig()
+        a, b = m2.add_pi("a"), m2.add_pi("b")
+        m2.add_po(m2.add_or(a, b), "f")
+        for name in ("bigint", "numpy"):
+            kernel.set_backend(name)
+            cex = find_counterexample(m1, m2)
+            assert cex is not None
+            assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
+
+
+@needs_numpy
+class TestBatchParity(TestBackendParity):
+    """The TestBackendParity checks on a four-thread pool, plus the
+    level-batched engine's threaded paths and executable cache."""
+
+    threads = 4
 
     def test_truth_tables_parity_threaded(self):
         with kernel.sim_threads_scope(4):
             for seed in (2, 5):
                 mig = make_random_mig(13, 300, seed=seed)
                 assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
+                    mig, kernel=kernel._NUMPY
                 ) == truth_tables(mig, kernel=kernel._BIGINT), f"seed {seed}"
 
     def test_registry_benchmark_sweep(self):
@@ -389,35 +299,14 @@ class TestBatchParity:
             reference = truth_tables(mig, kernel=kernel._BIGINT)
             with kernel.sim_threads_scope(1):
                 assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
+                    mig, kernel=kernel._NUMPY
                 ) == reference, name
             with kernel.sim_threads_scope(3):
                 assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
+                    mig, kernel=kernel._NUMPY
                 ) == reference, name
             swept += 1
         assert swept >= 10  # the tiny preset keeps most benchmarks narrow
-
-    def test_truth_tables_parity_is_chunking_invariant(self):
-        mig = make_random_mig(10, 120, seed=3)
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-        for chunk_bits in (4, 7, 8, 9, 13):
-            assert (
-                truth_tables(
-                    mig, chunk_bits=chunk_bits, kernel=kernel._NUMPY_BATCH
-                )
-                == reference
-            ), f"chunk_bits {chunk_bits}"
-
-    @pytest.mark.parametrize("width", [65, 100, 128, 129, 1000, 1024])
-    def test_simulate_parity_at_odd_widths(self, width):
-        mig = make_random_mig(7, 60, seed=11)
-        rng = random.Random(width)
-        mask = (1 << width) - 1
-        words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-        assert simulate(
-            mig, words, mask, kernel=kernel._NUMPY_BATCH
-        ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
 
     def test_threaded_simulate_splits_lanes(self):
         # Wide enough that the lane-split threaded path actually runs.
@@ -429,85 +318,37 @@ class TestBatchParity:
         reference = simulate(mig, words, mask, kernel=kernel._BIGINT)
         with kernel.sim_threads_scope(4):
             assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY_BATCH
+                mig, words, mask, kernel=kernel._NUMPY
             ) == reference
 
-    def test_narrow_windows_fall_back_to_bigint_results(self):
-        mig = make_random_mig(4, 20, seed=5)
-        for width in (1, 7, 64):
-            rng = random.Random(width)
-            mask = (1 << width) - 1
-            words = [rng.getrandbits(width) for _ in range(mig.num_pis)]
-            assert simulate(
-                mig, words, mask, kernel=kernel._NUMPY_BATCH
-            ) == simulate(mig, words, mask, kernel=kernel._BIGINT)
-
     def test_exhaustive_window_agreement(self):
-        mig = make_random_mig(10, 200, seed=19)
-        for base in (0, 256, 768):
-            expected = kernel._NUMPY.exhaustive_window(mig, base, 256)
-            assert kernel._NUMPY_BATCH.exhaustive_window(
-                mig, base, 256
-            ) == expected
+        # 2^13-pattern windows split into per-thread sub-windows on the
+        # pool; the reassembled words must equal the bigint chunks.
+        from repro.mig.simulate import exhaustive_chunks
 
-    def test_equivalent_verdicts_match(self):
-        m1 = make_random_mig(9, 70, seed=21)
-        flipped = m1.clone()
-        flipped._pos[0] = complement(flipped._pos[0])
-        for name in ("bigint", "numpy", "numpy-batch"):
-            kernel.set_backend(name)
-            assert equivalent(m1, m1.clone()), name
-            assert not equivalent(m1, flipped), name
+        mig = make_random_mig(14, 200, seed=19)
+        for base, width, expected in exhaustive_chunks(
+            mig, 13, kernel=kernel._BIGINT
+        ):
+            for threads in (1, 4):
+                with kernel.sim_threads_scope(threads):
+                    assert kernel._NUMPY.exhaustive_window(
+                        mig, base, width
+                    ) == expected, (base, threads)
 
     def test_equivalent_threaded_stripes(self):
         m1 = make_random_mig(12, 250, seed=27)
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        kernel.set_backend("numpy-batch")
+        kernel.set_backend("numpy")
         with kernel.sim_threads_scope(4):
             assert equivalent(m1, m1.clone())
             assert not equivalent(m1, flipped)
 
-    def test_equivalent_same_object_both_sides(self):
-        kernel.set_backend("numpy-batch")
-        mig = make_random_mig(8, 60, seed=33)
-        assert equivalent(mig, mig)
-
-    def test_equivalent_after_interleaved_simulate(self):
-        kernel.set_backend("numpy-batch")
-        mig = make_random_mig(8, 60, seed=23)
-        reference = truth_tables(mig)
-        rng = random.Random(0)
-        mask = (1 << 256) - 1
-        simulate(mig, [rng.getrandbits(256) for _ in range(8)], mask)
-        assert truth_tables(mig) == reference
-
-    def test_plan_invalidated_on_mutation(self):
-        kernel.set_backend("numpy-batch")
-        mig = Mig()
-        a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
-        mig.add_po(mig.add_maj(a, b, c), "f")
-        assert truth_tables(mig) == [0b11101000]
-        mig.add_po(mig.add_xor(a, b), "x")
-        assert truth_tables(mig) == [0b11101000, 0b01100110]
-
-    def test_counterexample_parity(self):
-        # All three kernels draw identical randomized rounds, so they
-        # find the same counterexample, not just some counterexample.
-        m1 = make_random_mig(9, 100, seed=41)
-        m2 = m1.clone()
-        m2._pos[-1] = complement(m2._pos[-1])
-        found = {}
-        for name in ("bigint", "numpy", "numpy-batch"):
-            kernel.set_backend(name)
-            found[name] = find_counterexample(m1, m2, seed=7)
-        assert found["bigint"] is not None
-        assert found["numpy"] == found["numpy-batch"]
-
     def test_per_thread_executables_are_isolated(self):
         import threading
 
-        kernel.set_backend("numpy-batch")
+        kernel.set_backend("numpy")
         mig = make_random_mig(10, 150, seed=43)
         reference = truth_tables(mig, kernel=kernel._BIGINT)
         failures = []
@@ -558,72 +399,48 @@ class TestBatchParity:
             mig = make_random_mig(num_pis, num_gates, seed=seed)
             with kernel.sim_threads_scope(threads):
                 assert truth_tables(
-                    mig, kernel=kernel._NUMPY_BATCH
+                    mig, kernel=kernel._NUMPY
                 ) == truth_tables(mig, kernel=kernel._BIGINT)
     except ImportError:  # pragma: no cover - hypothesis is optional
         pass
 
 
+def _raise(error):
+    def boom(*args, **kwargs):
+        raise error
+
+    return boom
+
+
 @needs_numpy
 class TestDegradationChain:
-    """Runtime failures walk numpy-batch -> numpy -> bigint, sticky per
-    scope, with one kernel_degraded event per demotion."""
+    """Classified faults demote numpy -> bigint, sticky per scope, with
+    one kernel_degraded event; any other engine error propagates."""
 
     def _mig(self):
         return make_random_mig(8, 60, seed=51)
-
-    def test_batch_failure_demotes_to_numpy(self, monkeypatch):
-        from repro.resilience import events
-
-        mig = self._mig()
-        reference = truth_tables(mig, kernel=kernel._BIGINT)
-        monkeypatch.setattr(
-            kernel._NUMPY_BATCH,
-            "_batch_window",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        monkeypatch.setattr(
-            kernel._NUMPY_BATCH,
-            "_batch_simulate",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        with events.capture() as log:
-            with kernel.degradation_scope("job-a") as frame:
-                assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == (
-                    reference
-                )
-                assert frame["demoted"] == {"numpy-batch"}
-        (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
-        assert event["backend"] == "numpy-batch"
-        assert event["fallback"] == "numpy"
-        assert event["job"] == "job-a"
 
     def test_full_chain_reaches_bigint(self, monkeypatch):
         from repro.resilience import events
 
         mig = self._mig()
         reference = truth_tables(mig, kernel=kernel._BIGINT)
-        def boom(*a, **k):
-            raise RuntimeError("boom")
-
-        # Break the batch engine's own paths AND the per-gate plan the
-        # numpy engine compiles inside its guard, so both demote.
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_window", boom)
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_simulate", boom)
-        monkeypatch.setattr(kernel, "_numpy_plan", boom)
-        with events.capture() as log:
-            with kernel.degradation_scope("job-b") as frame:
-                assert truth_tables(mig, kernel=kernel._NUMPY_BATCH) == (
-                    reference
-                )
-                assert frame["demoted"] == {"numpy-batch", "numpy"}
-        chain = [
-            (e["backend"], e["fallback"])
-            for e in log
-            if e["kind"] == "kernel_degraded"
-        ]
-        assert ("numpy-batch", "numpy") in chain
-        assert ("numpy", "bigint") in chain
+        for error in (FaultInjected("kernel_fail", "job-b"), MemoryError()):
+            monkeypatch.setattr(kernel._NUMPY, "_batch_window", _raise(error))
+            monkeypatch.setattr(
+                kernel._NUMPY, "_batch_simulate", _raise(error)
+            )
+            with events.capture() as log:
+                with kernel.degradation_scope("job-b") as frame:
+                    assert truth_tables(mig, kernel=kernel._NUMPY) == (
+                        reference
+                    )
+                    assert frame["demoted"] == {"numpy"}
+            (event,) = [e for e in log if e["kind"] == "kernel_degraded"]
+            assert (event["backend"], event["fallback"]) == (
+                "numpy", "bigint"
+            )
+            assert event["job"] == "job-b"
 
     def test_demotion_is_sticky_within_scope_only(self, monkeypatch):
         mig = self._mig()
@@ -631,16 +448,16 @@ class TestDegradationChain:
 
         def boom(*a, **k):
             calls["n"] += 1
-            raise RuntimeError("boom")
+            raise FaultInjected("kernel_fail", "job-c")
 
-        monkeypatch.setattr(kernel._NUMPY_BATCH, "_batch_simulate", boom)
+        monkeypatch.setattr(kernel._NUMPY, "_batch_simulate", boom)
         mask = (1 << 256) - 1
         words = [0] * mig.num_pis
         with kernel.degradation_scope("job-c"):
-            kernel._NUMPY_BATCH.simulate(mig, words, mask)
-            kernel._NUMPY_BATCH.simulate(mig, words, mask)
+            kernel._NUMPY.simulate(mig, words, mask)
+            kernel._NUMPY.simulate(mig, words, mask)
             assert calls["n"] == 1  # second call skipped the dead engine
-        kernel._NUMPY_BATCH.simulate(mig, words, mask)
+        kernel._NUMPY.simulate(mig, words, mask)
         assert calls["n"] == 2  # fresh scope retries the full engine
 
 

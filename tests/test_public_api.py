@@ -45,7 +45,6 @@ ROOT_API = [
     "available_sources",
     "available_strategies",
     "build_benchmark",
-    "compile_with_management",
     "create_cache_server",
     "create_server",
     "equivalent",
@@ -140,7 +139,6 @@ RESILIENCE_API = [
     "FaultDirective",
     "FaultInjected",
     "FaultPlan",
-    "KernelDegradedError",
     "MANIFEST_SCHEMA",
     "PermanentFault",
     "RETRY_ENV_VAR",
@@ -374,6 +372,4 @@ class TestFlowNamespace:
 
     def test_choice_lists_stable(self):
         assert repro.flow.PRESET_CHOICES == ["tiny", "default", "paper"]
-        assert repro.flow.BACKEND_CHOICES == [
-            "auto", "bigint", "numpy", "numpy-batch",
-        ]
+        assert repro.flow.BACKEND_CHOICES == ["auto", "bigint", "numpy"]

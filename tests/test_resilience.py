@@ -548,6 +548,23 @@ class TestKernelDegradation:
             baseline[0]
         )
 
+    def test_engine_bug_raises_instead_of_demoting(self, monkeypatch):
+        """Only classified faults demote: a plain engine bug must surface
+        from the run, not turn into a silent bigint fallback."""
+        pytest.importorskip("numpy")
+        from repro.mig import kernel
+
+        def bug(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(kernel._NUMPY, "_batch_simulate", bug)
+        with events.capture() as log:
+            with pytest.raises(RuntimeError, match="engine bug"):
+                Session(backend="numpy", preset="tiny").run_matrix(
+                    ["adder"], ["naive"], verify=True, verify_patterns=256
+                )
+        assert not [e for e in log if e["kind"] == "kernel_degraded"]
+
 
 class TestSupervisedRunner:
     def test_serial_retry_recovers_transient_job_fault(
