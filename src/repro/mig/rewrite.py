@@ -16,6 +16,8 @@ endurance-aware script) are sequences of these passes; they live in
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import algebra
@@ -208,6 +210,87 @@ def inverter_triples_pass(mig: Mig) -> Mig:
     return inverter_propagation_pass(mig, handle_two=False)
 
 
+# -- RM3 role pricing -------------------------------------------------------
+#
+# Realising ``MAJ(a, b, c)`` as ``RM3(P, Q, Z)`` assigns the three fanins
+# to the roles P, Q and Z; each fanin class has a fixed repair bill per
+# role.  The PLiM compiler and the static estimator below price gates
+# from the same table, so they cannot drift apart.
+
+#: Fanin classes: a constant edge (by value), a complemented stored
+#: value, a plain stored value the destination may overwrite (last
+#: reader, writable device), any other plain stored value.
+(
+    FANIN_CONST0, FANIN_CONST1, FANIN_COMPL, FANIN_OVERWRITE, FANIN_PLAIN,
+) = range(5)
+
+#: Destination kinds, in preference order for equal bills.
+Z_DIRECT = 0  # overwrite the fanin's own device
+Z_CONST = 1  # initialise a requested device with the constant
+Z_COPY = 2  # copy/copy-invert into a requested device
+
+#: The six ``(qi, zi, pi)`` role assignments, in ``(qi, zi)`` order.
+ROLE_PERMUTATIONS = (
+    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+)
+
+
+@functools.lru_cache(maxsize=16)
+def rm3_role_table(
+    q_invert: int = 2,
+    z_const: int = 1,
+    z_copy: int = 2,
+    p_invert: int = 2,
+    q_cells: int = 1,
+    z_cells: int = 1,
+    p_cells: int = 1,
+) -> tuple:
+    """Cheapest role assignments for every triple of fanin classes.
+
+    Entry ``25 * c0 + 5 * c1 + c2`` (one per ordered class triple) is
+    ``(extra, extra_cells, z_kind, candidates)``: the repair
+    instructions and devices of the cheapest assignment, its destination
+    kind, and every ``(qi, zi, pi)`` assignment that ties with it on
+    those three, in ``(qi, zi)`` order.  Assignments rank by ``(extra,
+    extra_cells, z_kind, z_writes, qi, zi)``; only ``z_writes`` (the
+    overwritten device's write count, which the minimum write count
+    strategy prefers low) is not known here, and it can only differ
+    between ``Z_DIRECT`` candidates.  The per-fanin bills are:
+
+    ==============  ===========  =======================  ===========
+    class           Q            Z                        P
+    ==============  ===========  =======================  ===========
+    constant        free         ``z_const``, 1 device    free
+    complemented    free         ``z_copy``, 1 device     ``p_invert``
+    overwritable    ``q_invert`` direct, free             free
+    plain           ``q_invert`` ``z_copy``, 1 device     free
+    ==============  ===========  =======================  ===========
+    """
+    q_bill = [(0, 0), (0, 0), (0, 0), (q_invert, q_cells), (q_invert, q_cells)]
+    z_bill = [
+        (z_const, z_cells, Z_CONST),
+        (z_const, z_cells, Z_CONST),
+        (z_copy, z_cells, Z_COPY),
+        (0, 0, Z_DIRECT),
+        (z_copy, z_cells, Z_COPY),
+    ]
+    p_bill = [(0, 0), (0, 0), (p_invert, p_cells), (0, 0), (0, 0)]
+    entries = []
+    for classes in itertools.product(range(5), repeat=3):
+        priced = []
+        for perm in ROLE_PERMUTATIONS:
+            q = q_bill[classes[perm[0]]]
+            z = z_bill[classes[perm[1]]]
+            p = p_bill[classes[perm[2]]]
+            rank = (q[0] + z[0] + p[0], q[1] + z[1] + p[1], z[2])
+            priced.append((rank, perm))
+        best = min(rank for rank, _ in priced)
+        entries.append(
+            best + (tuple(perm for rank, perm in priced if rank == best),)
+        )
+    return tuple(entries)
+
+
 def rm3_gate_cost(
     fanin_bits,
     refs,
@@ -220,15 +303,18 @@ def rm3_gate_cost(
 ) -> int:
     """Estimated RM3 instructions to realise one majority gate.
 
-    A static replay of the compiler's role pricing
-    (:meth:`repro.plim.compiler.PlimCompiler._translate`): one RM3 plus
-    repair bills.  *fanin_bits* is a sequence of ``(node, complement)``
-    pairs; *refs* the graph's fanout counts; *is_gate* the gate
-    predicate.  Constant fanins follow the machine semantics exactly —
-    a constant edge of either polarity is never a complement violation,
-    serves as the intrinsically inverted ``Q`` for free, and can
-    constant-initialise the destination at *z_const* (cheaper than a
-    *z_copy*).  The default weights mirror the default RM3 cost table;
+    A static replay of the compiler's role pricing: one RM3 plus the
+    cheapest repair bill over the six role assignments, read from the
+    same :func:`rm3_role_table` the compiler uses.  *fanin_bits* is a
+    sequence of ``(node, complement)`` pairs; *refs* the graph's fanout
+    counts; *is_gate* the gate predicate.  A fanin counts as
+    overwritable when it is a plain edge to a gate with a single
+    reference (the static stand-in for the compiler's "last reader of a
+    writable device"); a constant edge of either polarity is free as
+    ``Q`` or ``P`` and initialises a destination at *z_const*.  So
+    ``MAJ(~a, ~b, ~c)`` costs 5 (free ``Q``, one copy-invert ``Z``, one
+    inverted ``P``) and ``MAJ(~a, ~b, 0)`` costs 3.  The default weights
+    mirror the default RM3 cost table;
     :func:`repro.opt.estimated_write_cost` re-prices through a target
     architecture's :class:`~repro.arch.CostModel`.
 
@@ -236,27 +322,18 @@ def rm3_gate_cost(
     write-cost objective and :func:`polarity_pass` — keep it that way,
     or the search layers drift apart.
     """
-    complements = 0
-    constants = 0
-    bill = 1
+    index = 0
     for node, bit in fanin_bits:
         if node == 0:
-            constants += 1
+            cls = FANIN_CONST1 if bit else FANIN_CONST0
         elif bit:
-            complements += 1
-    if complements == 0:
-        if constants:
-            constants -= 1  # one constant serves as the free Q
+            cls = FANIN_COMPL
+        elif refs[node] == 1 and is_gate(node):
+            cls = FANIN_OVERWRITE
         else:
-            bill += q_invert
-    else:
-        bill += (complements - 1) * p_invert
-    for node, bit in fanin_bits:
-        if node and not bit and refs[node] == 1 and is_gate(node):
-            break
-    else:
-        bill += z_const if constants else z_copy
-    return bill
+            cls = FANIN_PLAIN
+        index = 5 * index + cls
+    return 1 + rm3_role_table(q_invert, z_const, z_copy, p_invert)[index][0]
 
 
 def polarity_pass(

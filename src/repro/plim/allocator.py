@@ -101,30 +101,34 @@ class RramAllocator:
         takes two initialisation writes plus the final RM3, and handing it
         a device one write below the cap would overshoot.  Devices with
         insufficient headroom stay in the pool for smaller requests.
-        """
-        def fits(addr: int) -> bool:
-            return (
-                self.w_max is None
-                or self.writes[addr] + headroom <= self.w_max
-            )
 
+        Under ``min_write`` this costs O(log n) per request, not a scan of
+        the near-cap devices.  Valid heap entries (``writes`` still equal
+        to the device's count, device still free) pop in ``(writes,
+        addr)`` order, and whether a device fits (``writes + headroom <=
+        w_max``) is monotone in ``writes``: if the least-written valid
+        entry does not fit, no entry does.  So the first valid entry is
+        either the answer or proof that a new device is needed, and it
+        stays on the heap in the second case.  Stale entries never become
+        valid again (write counts only grow), so dropping them on the way
+        is safe.  The LIFO stack of ``naive`` is not in write order and
+        keeps its scan.
+        """
+        w_max = self.w_max
+        writes = self.writes
         if self.strategy == "min_write":
-            skipped = []
-            found = None
-            while self._free_heap:
-                wr, addr = heapq.heappop(self._free_heap)
-                if addr not in self._free_set or wr != self.writes[addr]:
-                    continue  # stale entry from an earlier free period
-                if not fits(addr):
-                    skipped.append((wr, addr))
+            heap = self._free_heap
+            free = self._free_set
+            while heap:
+                wr, addr = heap[0]
+                if addr not in free or wr != writes[addr]:
+                    heapq.heappop(heap)  # stale entry from an earlier period
                     continue
-                self._free_set.discard(addr)
-                found = addr
-                break
-            for entry in skipped:
-                heapq.heappush(self._free_heap, entry)
-            if found is not None:
-                return found
+                if w_max is not None and wr + headroom > w_max:
+                    break  # least-written free device is too worn: all are
+                heapq.heappop(heap)
+                free.discard(addr)
+                return addr
         else:
             skipped_addrs = []
             found = None
@@ -132,7 +136,7 @@ class RramAllocator:
                 addr = self._free_stack.pop()
                 if addr not in self._free_set:
                     continue
-                if not fits(addr):
+                if w_max is not None and writes[addr] + headroom > w_max:
                     skipped_addrs.append(addr)
                     continue
                 self._free_set.discard(addr)

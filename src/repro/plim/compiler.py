@@ -26,45 +26,44 @@ costs **two extra instructions and one extra RRAM**:
   (write 0/1 + RM3); a constant fanin reduces this to a single
   initialisation write.
 
-The translator enumerates all role assignments of the three fanins and
-picks the cheapest, so those rules emerge from a small cost table rather
-than a case cascade.  The cost table — and the device-allocation
-machinery behind the destination decisions — belong to the *target
-machine*: the compiler consumes a :class:`repro.arch.Architecture`
-(cost model, array geometry, endurance semantics) and emits a program
-for that machine.  The default architecture is the paper's unbounded
-wear-tracked crossbar, which reproduces the historic behaviour exactly.
+The translator picks the cheapest of the six role assignments of the
+three fanins from a precomputed role table, so those rules emerge from
+per-fanin bills rather than a case cascade.  The cost table — and the
+device-allocation machinery behind the destination decisions — belong
+to the *target machine*: the compiler consumes a
+:class:`repro.arch.Architecture` (cost model, array geometry, endurance
+semantics) and emits a program for that machine.  The default
+architecture is the paper's unbounded wear-tracked crossbar, which
+reproduces the historic behaviour exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..mig.graph import Mig
+from ..mig.rewrite import (
+    FANIN_COMPL,
+    FANIN_OVERWRITE,
+    FANIN_PLAIN,
+    Z_CONST,
+    Z_DIRECT,
+    rm3_role_table,
+)
 from ..mig.signal import is_complemented, node_of
-from .isa import OP_CONST0, OP_CONST1, Program, const_operand
+from .isa import OP_CONST0, OP_CONST1, Program
 
 
-@dataclass(frozen=True)
-class _Fanin:
-    """One fanin of the node under translation, classified for costing."""
-
-    is_const: bool
-    value: int  # constant value (is_const) — else unused
-    node: int  # MIG node id (var) — else unused
-    complemented: bool
-
-
-# Role kinds used by the assignment enumeration.
-_Q_FREE = 0  # complemented edge or constant: RM3's intrinsic inversion
-_Q_INVERT = 1  # helper inversion required (+2 instructions, +1 device)
-_Z_DIRECT = 0  # overwrite the fanin's own device
-_Z_CONST = 1  # initialise a requested device with the constant (+1)
-_Z_COPY = 2  # copy/copy-invert into a requested device (+2, +1 device)
-_P_FREE = 0  # constant or plain stored value
-_P_INVERT = 1  # helper inversion required (+2 instructions, +1 device)
+# Role pricing: every fanin is classified once per gate (constant by
+# value, complemented, overwritable, plain) and the class triple indexes
+# the architecture's role table (:func:`repro.mig.rewrite.rm3_role_table`,
+# built once per compilation).  A table entry holds the cheapest
+# assignment's bill and the (qi, zi, pi) assignments tied at it; only a
+# tie between overwritable destinations is left to break at run time, on
+# the destination's write count under ``min_write``.  The choice is the
+# minimum of ``(extra, extra_cells, z_kind, z_writes, qi, zi)`` over the
+# six assignments, as if each were enumerated and priced.
 
 
 class PlimCompiler:
@@ -146,8 +145,20 @@ class _Compilation:
         self.mig = mig
         self.selection = selection
         self.alloc = allocator
-        self.cost = cost
         self.allow_pi_overwrite = allow_pi_overwrite
+        self._roles = rm3_role_table(
+            q_invert=cost.q_invert_instructions,
+            z_const=cost.z_const_instructions,
+            z_copy=cost.z_copy_instructions,
+            p_invert=cost.p_invert_instructions,
+            q_cells=cost.q_invert_cells,
+            z_cells=cost.z_request_cells,
+            p_cells=cost.p_invert_cells,
+        )
+        self._min_write = allocator.strategy == "min_write"
+        self._writable = allocator.writable
+        self._is_pi = mig.is_pi
+        self._mig_fanins = mig._fanins
 
         view = mig.fanout_view()
         self.view = view
@@ -232,9 +243,11 @@ class _Compilation:
         pending = [0] * mig.num_nodes
         heap: List[Tuple[Tuple[int, ...], int]] = []
         gates = mig.live_gates()
+        mig_fanins = self._mig_fanins
         for node in gates:
             pending[node] = sum(
-                1 for child in self._fanin_nodes[node] if mig.is_gate(child)
+                mig_fanins[child] is not None
+                for child in self._fanin_nodes[node]
             )
             if pending[node] == 0:
                 heapq.heappush(heap, (self._key(node), node))
@@ -278,144 +291,99 @@ class _Compilation:
 
     # -- node translation ---------------------------------------------------
 
-    def _classify(self, signal: int) -> _Fanin:
-        node = node_of(signal)
-        if node == 0:
-            return _Fanin(
-                is_const=True,
-                value=1 if is_complemented(signal) else 0,
-                node=0,
-                complemented=False,
-            )
-        return _Fanin(
-            is_const=False,
-            value=0,
-            node=node,
-            complemented=is_complemented(signal),
-        )
-
-    def _q_cost(self, f: _Fanin) -> int:
-        if f.is_const or f.complemented:
-            return _Q_FREE
-        return _Q_INVERT
-
-    def _z_kind(self, f: _Fanin) -> int:
-        if f.is_const:
-            return _Z_CONST
-        if (
-            not f.complemented
-            and self.refs[f.node] == 1
-            and self.cell_of[f.node] is not None
-            and self.alloc.writable(self.cell_of[f.node])
-            and (self.allow_pi_overwrite or not self.mig.is_pi(f.node))
-        ):
-            return _Z_DIRECT
-        return _Z_COPY
-
-    def _p_cost(self, f: _Fanin) -> int:
-        if f.is_const or not f.complemented:
-            return _P_FREE
-        return _P_INVERT
-
     def _translate(self, node: int) -> None:
-        fanins = [self._classify(s) for s in self.mig.fanins(node)]
+        cell_of = self.cell_of
+        refs = self.refs
+        fanins = self._mig_fanins[node]
 
-        # Enumerate the six (Q, Z, P) role assignments; keep the cheapest.
-        best = None
-        for qi in range(3):
-            rest = [i for i in range(3) if i != qi]
-            for zi, pi in (rest, reversed(rest)):
-                q, z, p = fanins[qi], fanins[zi], fanins[pi]
-                q_cost = self._q_cost(q)
-                z_kind = self._z_kind(z)
-                p_cost = self._p_cost(p)
-                # Overheads come from the target machine's cost table
-                # (defaults: Q invert 2, Z const 1 / copy 2, P invert 2).
-                cost = self.cost
-                extra = (
-                    cost.q_invert_instructions * q_cost
-                    + (
-                        cost.z_const_instructions
-                        if z_kind == _Z_CONST
-                        else cost.z_copy_instructions
-                        if z_kind == _Z_COPY
-                        else 0
-                    )
-                    + cost.p_invert_instructions * p_cost
-                )
-                extra_cells = (
-                    cost.q_invert_cells * q_cost
-                    + cost.p_invert_cells * p_cost
-                    + (0 if z_kind == _Z_DIRECT else cost.z_request_cells)
-                )
-                if z_kind == _Z_DIRECT and self.alloc.strategy == "min_write":
-                    z_writes = self.alloc.writes[self.cell_of[z.node]]
-                else:
-                    z_writes = 0
-                rank = (extra, extra_cells, z_kind, z_writes, qi, zi)
-                if best is None or rank < best[0]:
-                    best = (rank, qi, zi, pi, z_kind)
-        assert best is not None
-        _, qi, zi, pi, z_kind = best
+        # Classify the three fanins and look their triple up.
+        index = 0
+        for s in fanins:
+            n = s >> 1
+            if n == 0:
+                cls = s  # FANIN_CONST0 / FANIN_CONST1: the constant's value
+            elif s & 1:
+                cls = FANIN_COMPL
+            elif (
+                refs[n] == 1
+                and cell_of[n] is not None
+                and self._writable(cell_of[n])
+                and (self.allow_pi_overwrite or not self._is_pi(n))
+            ):
+                cls = FANIN_OVERWRITE
+            else:
+                cls = FANIN_PLAIN
+            index = 5 * index + cls
+        _, _, z_kind, candidates = self._roles[index]
+        qi, zi, pi = candidates[0]
+        if self._min_write and z_kind == Z_DIRECT and len(candidates) > 1:
+            writes = self.alloc.writes
+            least = writes[cell_of[fanins[zi] >> 1]]
+            for perm in candidates[1:]:
+                w = writes[cell_of[fanins[perm[1]] >> 1]]
+                if w < least:
+                    least = w
+                    qi, zi, pi = perm
         q, z, p = fanins[qi], fanins[zi], fanins[pi]
 
         temps: List[int] = []
 
         # Destination Z holds the contribution of its fanin.
         overwritten: Optional[int] = None
-        if z_kind == _Z_DIRECT:
-            z_addr = self.cell_of[z.node]
-            overwritten = z.node
-        elif z_kind == _Z_CONST:
+        if z_kind == Z_DIRECT:
+            z_addr = cell_of[z >> 1]
+            overwritten = z >> 1
+        elif z_kind == Z_CONST:
             z_addr = self.alloc.request(headroom=2)  # init + final RM3
-            self._emit_const(z_addr, z.value)
-        else:  # _Z_COPY
-            src = self.cell_of[z.node]
+            self._emit_const(z_addr, z & 1)
+        else:  # Z_COPY
             z_addr = self._emit_materialize(
-                src, inverted=z.complemented, extra_headroom=1
+                cell_of[z >> 1], inverted=bool(z & 1), extra_headroom=1
             )
 
         # Second operand Q: RM3 applies ~Q, so Q must hold the *inverse*
         # of the fanin's contribution.
-        if q.is_const:
-            q_op = const_operand(1 - q.value)
-        elif q.complemented:
-            q_op = self.cell_of[q.node]  # stored value, contribution is ~v
+        if q >> 1 == 0:
+            q_op = OP_CONST0 if q & 1 else OP_CONST1
+        elif q & 1:
+            q_op = cell_of[q >> 1]  # stored value, contribution is ~v
         else:
-            temp = self.alloc.request(headroom=2)
-            self._emit_const(temp, 1)
-            self._emit(OP_CONST0, self.cell_of[q.node], temp)
-            temps.append(temp)
-            q_op = temp
+            q_op = self._emit_invert(cell_of[q >> 1])
+            temps.append(q_op)
 
         # First operand P holds the contribution directly.
-        if p.is_const:
-            p_op = const_operand(p.value)
-        elif not p.complemented:
-            p_op = self.cell_of[p.node]
+        if p >> 1 == 0:
+            p_op = OP_CONST1 if p & 1 else OP_CONST0
+        elif not p & 1:
+            p_op = cell_of[p >> 1]
         else:
-            temp = self.alloc.request(headroom=2)
-            self._emit_const(temp, 1)
-            self._emit(OP_CONST0, self.cell_of[p.node], temp)
-            temps.append(temp)
-            p_op = temp
+            p_op = self._emit_invert(cell_of[p >> 1])
+            temps.append(p_op)
 
         self._emit(p_op, q_op, z_addr)
 
         # Consume fanin references; free devices at their last use.
-        for f in fanins:
-            if f.is_const:
+        for s in fanins:
+            n = s >> 1
+            if n == 0:
                 continue
-            self.refs[f.node] -= 1
-            if self.refs[f.node] == 0:
-                cell = self.cell_of[f.node]
-                self.cell_of[f.node] = None
-                if f.node != overwritten and cell is not None:
-                    self._release(f.node, cell)
+            refs[n] -= 1
+            if refs[n] == 0:
+                cell = cell_of[n]
+                cell_of[n] = None
+                if n != overwritten and cell is not None:
+                    self._release(n, cell)
         for temp in temps:
             self.alloc.release(temp)
 
-        self.cell_of[node] = z_addr
+        cell_of[node] = z_addr
+
+    def _emit_invert(self, src_cell: int) -> int:
+        """Invert a stored value into a helper device (+2 instructions)."""
+        temp = self.alloc.request(headroom=2)
+        self._emit_const(temp, 1)
+        self._emit(OP_CONST0, src_cell, temp)
+        return temp
 
     def _release(self, node: int, cell: int) -> None:
         """Return a dead value's device to the pool.

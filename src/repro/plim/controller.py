@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .isa import Program, operand_const_value, operand_is_const
+from .isa import OP_CONST0, OP_CONST1, Program
 from .memory import RramArray
 
 #: Controller cycles per RM3: fetch, read P, read Q, compute+write Z.
@@ -86,22 +86,32 @@ class PlimController:
         for cell, word in zip(program.pi_cells, pi_values):
             self.array.preload(cell, word & mask)
 
+        # One loop for every array: `values` and `write` are bound once to
+        # whatever the array provides (an RramArray's cell list and write
+        # method, a StartGapArray's logical views).  Negative operands are
+        # the constant lines.
         values = self.array.values
+        write = self.array.write
         for pc, (p, q, z) in enumerate(program.instructions):
-            p_val = (
-                (mask if operand_const_value(p) else 0)
-                if operand_is_const(p)
-                else values[p]
-            )
-            q_val = (
-                (mask if operand_const_value(q) else 0)
-                if operand_is_const(q)
-                else values[q]
-            )
-            nq = q_val ^ mask
+            if p >= 0:
+                p_val = values[p]
+            elif p == OP_CONST1:
+                p_val = mask
+            elif p == OP_CONST0:
+                p_val = 0
+            else:
+                raise ValueError(f"instruction {pc}: bad operand {p}")
+            if q >= 0:
+                nq = values[q] ^ mask
+            elif q == OP_CONST1:
+                nq = 0
+            elif q == OP_CONST0:
+                nq = mask
+            else:
+                raise ValueError(f"instruction {pc}: bad operand {q}")
             z_val = values[z]
             result = (p_val & nq) | (p_val & z_val) | (nq & z_val)
-            self.array.write(z, result & mask)
+            write(z, result & mask)
             if trace is not None:
                 trace.log(pc, p, q, z, result)
         self.instructions_executed += len(program.instructions)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.mig.graph import Mig
 from repro.mig.signal import complement
+from repro.plim.isa import OP_CONST0, OP_CONST1, Program
 
 
 def make_random_mig(
@@ -55,6 +56,25 @@ def make_random_mig(
             sig = complement(sig)
         mig.add_po(sig, f"y{i}")
     return mig
+
+
+def make_random_program(seed: int, num_cells: int = 12, length: int = 80):
+    """A random valid program: cell or constant operands, a few PIs/POs."""
+    rng = random.Random(seed)
+    operands = [OP_CONST0, OP_CONST1] + list(range(num_cells))
+    instructions = [
+        (rng.choice(operands), rng.choice(operands), rng.randrange(num_cells))
+        for _ in range(length)
+    ]
+    cells = list(range(num_cells))
+    rng.shuffle(cells)
+    return Program(
+        instructions=instructions,
+        num_cells=num_cells,
+        pi_cells=cells[:4],
+        po_cells=[rng.randrange(num_cells) for _ in range(3)],
+        name=f"random{seed}",
+    )
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Tests for the RRAM allocator policies (min/max write strategies)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.plim.allocator import MIN_WRITE_CAP, RramAllocator
 
@@ -180,3 +181,165 @@ class TestWmaxRetirementBoundaries:
                 mig, full_management(100), arch=arch
             )
             assert result.program.num_cells >= uncapped.program.num_cells
+
+
+class _FullScanAllocator(RramAllocator):
+    """The allocator as it was before the O(log n) ``min_write`` request:
+    every request pops the heap until a fitting device turns up and
+    pushes every near-cap device back.  Kept as the reference."""
+
+    def request(self, headroom: int = 1) -> int:
+        import heapq
+
+        def fits(addr: int) -> bool:
+            return (
+                self.w_max is None
+                or self.writes[addr] + headroom <= self.w_max
+            )
+
+        if self.strategy == "min_write":
+            skipped = []
+            found = None
+            while self._free_heap:
+                wr, addr = heapq.heappop(self._free_heap)
+                if addr not in self._free_set or wr != self.writes[addr]:
+                    continue  # stale entry from an earlier free period
+                if not fits(addr):
+                    skipped.append((wr, addr))
+                    continue
+                self._free_set.discard(addr)
+                found = addr
+                break
+            for entry in skipped:
+                heapq.heappush(self._free_heap, entry)
+            if found is not None:
+                return found
+        else:
+            skipped_addrs = []
+            found = None
+            while self._free_stack:
+                addr = self._free_stack.pop()
+                if addr not in self._free_set:
+                    continue
+                if not fits(addr):
+                    skipped_addrs.append(addr)
+                    continue
+                self._free_set.discard(addr)
+                found = addr
+                break
+            for addr in reversed(skipped_addrs):
+                self._free_stack.append(addr)
+            if found is not None:
+                return found
+        return self.new_cell()
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("request", "request", "write", "write", "release")),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    max_size=250,
+)
+
+
+class TestRequestEquivalence:
+    """The O(log n) request returns exactly what the full scan did."""
+
+    @pytest.mark.parametrize("strategy", ["naive", "min_write"])
+    @pytest.mark.parametrize("w_max", [None, 3, 10, 20])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS)
+    # A pooled device refused for lack of headroom must still serve a
+    # later, smaller request.
+    @example(ops=[
+        ("request", 0), ("write", 1), ("write", 1), ("release", 0),
+        ("request", 2), ("request", 0),
+    ])
+    def test_matches_full_scan(self, strategy, w_max, ops):
+        new = RramAllocator(strategy, w_max)
+        ref = _FullScanAllocator(strategy, w_max)
+        in_use = []
+        for kind, arg in ops:
+            if kind == "request":
+                headroom = 1 + arg % 3
+                addr = new.request(headroom)
+                assert addr == ref.request(headroom)
+                in_use.append(addr)
+            elif kind == "write" and new.writes:
+                # Mostly a device in use (so some reach the cap); now and
+                # then any device, free ones included: a write to a
+                # pooled device leaves a stale heap entry behind.
+                if in_use and arg % 4:
+                    addr = in_use[arg % len(in_use)]
+                else:
+                    addr = arg % len(new.writes)
+                new.record_write(addr)
+                ref.record_write(addr)
+            elif kind == "release" and in_use:
+                addr = in_use.pop(arg % len(in_use))
+                new.release(addr)
+                ref.release(addr)
+            assert new.writes == ref.writes
+            assert new._free_set == ref._free_set
+            assert new.retired == ref.retired
+
+
+class TestRequestCost:
+    def _near_cap_pool(self, count: int = 40):
+        """A ``min_write`` pool of devices at 8 or 9 writes under a cap
+        of 10, released in an order that is not sorted."""
+        alloc = RramAllocator("min_write", w_max=10)
+        cells = [alloc.new_cell() for _ in range(count)]
+        for index, cell in enumerate(cells):
+            for _ in range(9 - index % 2):
+                alloc.record_write(cell)
+        for cell in cells:
+            alloc.release(cell)
+        return alloc
+
+    def test_unfit_pool_is_left_untouched(self):
+        """No pooled device has 3 writes of headroom: the request takes a
+        new device and does not pop and re-push the whole pool."""
+        alloc = self._near_cap_pool()
+        before = list(alloc._free_heap)
+        assert alloc.request(headroom=3) == 40
+        assert alloc._free_heap == before
+
+    def test_each_heap_entry_pops_at_most_once(self, monkeypatch):
+        """Over a whole capped compilation the heap is popped no more
+        often than devices are released into it: no request rescans
+        (and re-pushes) near-cap devices."""
+        import heapq
+
+        from repro.core.selection import make_selection
+        from repro.plim import allocator as allocator_module
+        from repro.plim.compiler import PlimCompiler
+        from repro.synth.registry import build_benchmark
+
+        calls = {"release": 0, "heappop": 0}
+
+        class CountingHeapq:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                calls["heappop"] += 1
+                return heapq.heappop(heap)
+
+        release = RramAllocator.release
+
+        def counting_release(self, addr):
+            calls["release"] += 1
+            release(self, addr)
+
+        monkeypatch.setattr(allocator_module, "heapq", CountingHeapq)
+        monkeypatch.setattr(RramAllocator, "release", counting_release)
+        program = PlimCompiler(
+            selection=make_selection("endurance"),
+            allocation="min_write",
+            w_max=10,
+        ).compile(build_benchmark("cavlc", "tiny"))
+        assert max(program.write_counts()) <= 10
+        assert calls["heappop"] > 0
+        assert calls["heappop"] <= calls["release"]

@@ -1,6 +1,9 @@
 """Tests for the PLiM ISA, memory array, and controller."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.plim.controller import (
     CYCLES_PER_INSTRUCTION,
@@ -22,6 +25,7 @@ from repro.plim.memory import (
     RramArray,
     estimate_lifetime,
 )
+from .conftest import make_random_program
 
 
 class TestOperands:
@@ -230,3 +234,86 @@ class TestController:
         array = RramArray(1, endurance=3)
         with pytest.raises(EnduranceExhaustedError):
             PlimController(array).run(prog)
+
+
+def reference_run(program, pi_values, mask, endurance=None):
+    """Plain RM3 semantics, one instruction at a time.
+
+    Returns ``(outputs, writes, trace, failing_pc)``; on an endurance
+    failure the outputs are ``None`` and the trace stops before the
+    failing instruction.
+    """
+    values = [0] * program.num_cells
+    writes = [0] * program.num_cells
+    for cell, word in zip(program.pi_cells, pi_values):
+        values[cell] = word & mask
+
+    def read(op):
+        if op == OP_CONST0:
+            return 0
+        if op == OP_CONST1:
+            return mask
+        return values[op]
+
+    trace = ExecutionTrace()
+    for pc, (p, q, z) in enumerate(program.instructions):
+        a, not_b, c = read(p), read(q) ^ mask, values[z]
+        result = (a & not_b) | (a & c) | (not_b & c)
+        writes[z] += 1
+        if endurance is not None and writes[z] > endurance:
+            return None, writes, trace, pc
+        values[z] = result & mask
+        trace.log(pc, p, q, z, result)
+    outputs = [values[cell] & mask for cell in program.po_cells]
+    return outputs, writes, trace, None
+
+
+class TestControllerParity:
+    """The controller's loop agrees with the plain reference loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 8, 64]))
+    def test_outputs_writes_and_trace(self, seed, width):
+        program = make_random_program(seed)
+        mask = (1 << width) - 1
+        rng = random.Random(seed)
+        pi_values = [rng.getrandbits(width) for _ in program.pi_cells]
+        array = RramArray(program.num_cells)
+        trace = ExecutionTrace()
+        outputs = PlimController(array).run(
+            program, pi_values, mask=mask, trace=trace
+        )
+        ref_outputs, ref_writes, ref_trace, _ = reference_run(
+            program, pi_values, mask
+        )
+        assert outputs == ref_outputs
+        assert array.writes == ref_writes
+        assert trace.records == ref_trace.records
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), endurance=st.integers(1, 12))
+    def test_endurance_failure_at_the_same_pc(self, seed, endurance):
+        program = make_random_program(seed)
+        pi_values = [1, 0, 1, 1]
+        array = RramArray(program.num_cells, endurance=endurance)
+        trace = ExecutionTrace()
+        _, ref_writes, ref_trace, failing_pc = reference_run(
+            program, pi_values, 1, endurance=endurance
+        )
+        if failing_pc is None:
+            PlimController(array).run(program, pi_values, trace=trace)
+        else:
+            with pytest.raises(EnduranceExhaustedError) as info:
+                PlimController(array).run(program, pi_values, trace=trace)
+            assert info.value.cell == program.instructions[failing_pc][2]
+        executed = (
+            len(program.instructions) if failing_pc is None else failing_pc
+        )
+        assert len(trace.records) == executed
+        assert trace.records == ref_trace.records
+        assert array.writes == ref_writes
+
+    def test_bad_constant_operand_raises(self):
+        program = Program(instructions=[(-3, OP_CONST0, 0)], num_cells=1)
+        with pytest.raises(ValueError):
+            PlimController(RramArray(1)).run(program)

@@ -1,5 +1,7 @@
 """Tests for the rewrite engine and the two rewriting scripts."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,3 +126,101 @@ class TestRebuildContext:
         from repro.mig.simulate import equivalent
 
         assert equivalent(mig, out)
+
+
+#: Fanin classes of the static RM3 pricing, realised as
+#: ``(node, complement bit, fanout count, is a gate)``.
+_CLASS_FANINS = {
+    "const0": (0, 0, 0, False),
+    "const1": (0, 1, 0, False),
+    "complemented": (None, 1, 1, True),
+    "overwritable": (None, 0, 1, True),
+    "plain-shared": (None, 0, 2, True),
+}
+
+
+def _brute_force_gate_cost(classes, cost):
+    """One RM3 plus the cheapest repair bill over all six (Q, Z, P)
+    role assignments, priced role by role."""
+    best = None
+    for qi, zi, pi in itertools.permutations(range(3)):
+        q, z, p = classes[qi], classes[zi], classes[pi]
+        extra = 0
+        if q in ("overwritable", "plain-shared"):
+            extra += cost.q_invert_instructions  # no intrinsic inversion
+        if z in ("const0", "const1"):
+            extra += cost.z_const_instructions
+        elif z != "overwritable":
+            extra += cost.z_copy_instructions
+        if p == "complemented":
+            extra += cost.p_invert_instructions
+        best = extra if best is None else min(best, extra)
+    return 1 + best
+
+
+class TestRm3GateCost:
+    """The static estimator prices exactly like the compiler's roles."""
+
+    @staticmethod
+    def _cost_models():
+        from repro.arch import (
+            CostModel,
+            available_architectures,
+            get_architecture,
+        )
+
+        models = [get_architecture(n).cost for n in available_architectures()]
+        models.append(CostModel(
+            q_invert_instructions=3,
+            z_const_instructions=2,
+            z_copy_instructions=5,
+            p_invert_instructions=4,
+        ))
+        return models
+
+    def test_matches_brute_force_for_every_class_triple(self):
+        from repro.mig.rewrite import rm3_gate_cost
+
+        for cost in self._cost_models():
+            for classes in itertools.combinations_with_replacement(
+                _CLASS_FANINS, 3
+            ):
+                for order in set(itertools.permutations(classes)):
+                    refs = [0, 0, 0, 0]
+                    fanin_bits = []
+                    for slot, cls in enumerate(order, start=1):
+                        node, bit, fanout, _ = _CLASS_FANINS[cls]
+                        if node is None:
+                            node = slot
+                            refs[node] = fanout
+                        fanin_bits.append((node, bit))
+                    got = rm3_gate_cost(
+                        fanin_bits,
+                        refs,
+                        lambda n: n != 0,
+                        q_invert=cost.q_invert_instructions,
+                        p_invert=cost.p_invert_instructions,
+                        z_copy=cost.z_copy_instructions,
+                        z_const=cost.z_const_instructions,
+                    )
+                    assert got == _brute_force_gate_cost(order, cost), (
+                        order, cost
+                    )
+
+    def test_complemented_fanins_are_billed_once(self):
+        from repro.arch import get_architecture
+        from repro.mig.graph import Mig
+        from repro.mig.signal import CONST0, complement
+        from repro.opt import estimated_write_cost
+
+        endurance = get_architecture("endurance")
+        mig = Mig("nnn")
+        a, b, c = (mig.add_pi(n) for n in "abc")
+        mig.add_po(mig.add_maj(complement(a), complement(b), complement(c)))
+        # free Q, one copy-invert Z, one inverted P
+        assert estimated_write_cost(mig, endurance) == 5
+        mig = Mig("nn0")
+        a, b = mig.add_pi("a"), mig.add_pi("b")
+        mig.add_po(mig.add_maj(complement(a), complement(b), CONST0))
+        # free Q, copy-invert Z, constant P
+        assert estimated_write_cost(mig, endurance) == 3

@@ -7,6 +7,7 @@ from repro.plim.controller import PlimController
 from repro.plim.memory import RramArray
 from repro.plim.startgap import StartGapArray, run_with_start_gap
 from repro.synth.arithmetic import build_adder
+from .conftest import make_random_program
 
 
 class TestAddressTranslation:
@@ -286,3 +287,47 @@ class TestPerBlockRotation:
         assert any(r > 0 or g != rot.base + rot.size
                    for r, g, rot in zip(array.region_revolutions(),
                                         array.gaps(), array._rotors))
+
+
+class TestControllerParityOnStartGap:
+    """The controller's hoisted loop drives a Start-Gap array exactly
+    like plain ``read``/``write`` calls through its logical interface."""
+
+    @staticmethod
+    def _plain_runs(program, pi_values, executions, gap_interval, arch):
+        from repro.plim.isa import OP_CONST0, OP_CONST1
+
+        array = StartGapArray(
+            program.num_cells, gap_interval=gap_interval, arch=arch
+        )
+
+        def read(op):
+            if op == OP_CONST0:
+                return 0
+            if op == OP_CONST1:
+                return 1
+            return array.read(op)
+
+        for _ in range(executions):
+            for cell, word in zip(program.pi_cells, pi_values):
+                array.preload(cell, word & 1)
+            for p, q, z in program.instructions:
+                a, not_b, c = read(p), read(q) ^ 1, array.read(z)
+                array.write(z, (a & not_b) | (a & c) | (not_b & c))
+        return array
+
+    @pytest.mark.parametrize("arch", [None, "blocked"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_physical_wear_and_state_match(self, arch, seed):
+        from repro.arch import get_architecture
+
+        machine = get_architecture(arch) if arch else None
+        program = make_random_program(seed, num_cells=19, length=150)
+        pi_values = [seed & 1, 1, 0, 1]
+        got = run_with_start_gap(
+            program, pi_values, executions=7, gap_interval=5, arch=machine
+        )
+        want = self._plain_runs(program, pi_values, 7, 5, machine)
+        assert got.write_counts() == want.write_counts()
+        assert got.gaps() == want.gaps()
+        assert got.physical.values == want.physical.values
