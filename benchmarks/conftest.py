@@ -35,11 +35,11 @@ import json
 import os
 import pathlib
 import time
-import warnings
 
 import pytest
 
 from repro.flow import Session
+from repro.settings import positive_int
 
 
 _BENCH_DIR = pathlib.Path(__file__).parent
@@ -60,20 +60,15 @@ def pytest_collection_modifyitems(items):
 PRESET = os.environ.get("REPRO_BENCH_PRESET", "default")
 
 def _parallel_from_env() -> "int | None":
-    """Parse REPRO_BENCH_PARALLEL; serial when unset, <= 1, or garbage."""
-    raw = os.environ.get("REPRO_BENCH_PARALLEL", "")
+    """Parse REPRO_BENCH_PARALLEL: serial when unset or 1; garbage, zero
+    or a negative count raises ``ValueError``."""
+    raw = os.environ.get("REPRO_BENCH_PARALLEL", "").strip()
     if not raw:
         return None
     try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError("negative worker count")
+        value = positive_int("benchmark worker count")(raw)
     except ValueError as exc:
-        warnings.warn(
-            f"ignoring REPRO_BENCH_PARALLEL={raw!r} ({exc}); running serially",
-            stacklevel=1,
-        )
-        return None
+        raise ValueError(f"$REPRO_BENCH_PARALLEL: {exc}") from None
     return value if value > 1 else None
 
 

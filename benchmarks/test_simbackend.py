@@ -58,18 +58,15 @@ def test_numpy_backend_speedup_at_2e18_patterns():
     mig = build_multiplier(MULT_WIDTH)
     assert mig.num_pis == 2 * MULT_WIDTH
     other = mig.clone()
-    try:
-        bigint = kernel.set_backend("bigint")
+    with kernel.backend_scope("bigint") as bigint:
         tables_big = truth_tables(mig)
         tt_big = _best_of(lambda: truth_tables(mig))
         eq_big = _best_of(lambda: equivalent(mig, other))
 
-        numpy_k = kernel.set_backend("numpy")
+    with kernel.backend_scope("numpy") as numpy_k:
         tables_np = truth_tables(mig)
         tt_np = _best_of(lambda: truth_tables(mig))
         eq_np = _best_of(lambda: equivalent(mig, other))
-    finally:
-        kernel.set_backend(None)
 
     assert tables_np == tables_big  # bit-identical across backends
     assert bigint.name == "bigint" and numpy_k.name == "numpy"
@@ -99,26 +96,22 @@ def test_kernel_matrix_at_2e18_patterns():
 
     reference = truth_tables(mig, kernel=kernel._BIGINT)
     matrix = {}
-    try:
-        for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
-            for threads in thread_counts if name == "numpy" else [1]:
-                with kernel.sim_threads_scope(threads):
-                    tables = truth_tables(mig)
-                    assert tables == reference, (name, threads)
-                    assert equivalent(mig, other), (name, threads)
-                    matrix[f"{name}@{threads}"] = {
-                        "backend": name,
-                        "threads": threads,
-                        "truth_tables_seconds": _best_of(
-                            lambda: truth_tables(mig)
-                        ),
-                        "equivalence_seconds": _best_of(
-                            lambda: equivalent(mig, other)
-                        ),
-                    }
-    finally:
-        kernel.set_backend(None)
+    for name in ("bigint", "numpy"):
+        for threads in thread_counts if name == "numpy" else [1]:
+            with kernel.backend_scope(name), kernel.sim_threads_scope(threads):
+                tables = truth_tables(mig)
+                assert tables == reference, (name, threads)
+                assert equivalent(mig, other), (name, threads)
+                matrix[f"{name}@{threads}"] = {
+                    "backend": name,
+                    "threads": threads,
+                    "truth_tables_seconds": _best_of(
+                        lambda: truth_tables(mig)
+                    ),
+                    "equivalence_seconds": _best_of(
+                        lambda: equivalent(mig, other)
+                    ),
+                }
 
     baseline = matrix["bigint@1"]["truth_tables_seconds"]
     for entry in matrix.values():

@@ -44,6 +44,9 @@ The package provides:
   per-stage wall-clock timeouts (``--timeout`` / ``$REPRO_TIMEOUT``),
   ``run_manifest.json`` provenance sidecars, and the deterministic
   fault-injection harness (``$REPRO_FAULTS``);
+* :mod:`repro.settings` — the settings table: every session setting
+  (flag, environment variable, parser, default) declared once and
+  resolved by one rule, explicit > environment > default;
 * :mod:`repro.flow` — the Session + pass-pipeline API every harness entry
   point routes through: :class:`~repro.flow.Session` resolves backend,
   cache, parallelism, and preset once; :class:`~repro.flow.Flow` runs the
@@ -99,7 +102,7 @@ from .source import (
 )
 from .flow import Flow, FlowResult, Session
 from .serve import ReproServer, create_server
-from .cachesvc import RemoteCache, create_cache_server, resolve_cache_url
+from .cachesvc import RemoteCache, create_cache_server
 from .resilience import (
     PermanentFault,
     ReproError,
@@ -153,7 +156,6 @@ __all__ = [
     "register_architecture",
     "register_objective",
     "register_source",
-    "resolve_cache_url",
     "resolve_optimizer",
     "resolve_source",
     "simulate",

@@ -24,6 +24,8 @@ Subcommands regenerate each experiment of the paper:
   (``verify --json`` for machine-readable results);
 * ``serve`` — the compilation-as-a-service HTTP front
   (:mod:`repro.serve`);
+* ``config show`` — every setting's effective value and where it came
+  from (flag / env / default), generated from :mod:`repro.settings`;
 * ``list`` — available benchmarks and presets.
 
 Wherever a command takes a circuit, it accepts either a registry
@@ -65,9 +67,9 @@ from ..opt import (
     get_strategy,
 )
 from ..cachesvc import DEFAULT_PORT as CACHESVC_DEFAULT_PORT
-from ..cachesvc import resolve_cache_url
-from ..flow import Flow, Session, resolve_cache_dir
+from ..flow import Flow, Session
 from ..resilience import iter_manifests, verify_manifest
+from ..settings import SETTINGS
 from ..source import available_sources, get_source, resolve_source
 from ..synth.registry import BENCHMARKS, BENCHMARK_ORDER
 from . import report, scenarios
@@ -342,18 +344,20 @@ def cmd_optsweep(args) -> int:
     return 0
 
 
+_MAINTENANCE_ROOT_HELP = f"cache root (default: {DEFAULT_ROOT})"
+
+
 def _cache_for_maintenance(args) -> DiskCache:
     """Flag > ``$REPRO_CACHE_DIR`` > default root — maintenance commands
     always need *a* root to inspect, hence the default."""
-    return DiskCache(
-        resolve_cache_dir(args.cache_dir, default=DEFAULT_ROOT)
-    )
+    root = SETTINGS["cache_dir"].value(args.cache_dir)
+    return DiskCache(root or DEFAULT_ROOT)
 
 
 def cmd_cache_stats(args) -> int:
     cache = _cache_for_maintenance(args)
     stats = cache.stats()
-    url = resolve_cache_url(getattr(args, "cache_url", None))
+    url = SETTINGS["cache_url"].value(args.cache_url)
     server = None
     if url:
         from ..cachesvc import RemoteCache
@@ -471,7 +475,6 @@ def cmd_manifest_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from ..resilience import resolve_retry
     from ..serve import create_server
 
     session = Session.from_args(args)
@@ -481,7 +484,7 @@ def cmd_serve(args) -> int:
         session=session,
         workers=args.workers,
         isolate=not args.no_isolate,
-        retry=resolve_retry(args.retries),
+        retry=SETTINGS["retries"].value(args.retries),
         allow_frontend=args.allow_frontend,
         allow_shutdown=args.allow_shutdown,
         verbose=args.verbose,
@@ -506,7 +509,7 @@ def cmd_cachesvc_serve(args) -> int:
     server = create_cache_server(
         args.host,
         args.port,
-        root=resolve_cache_dir(args.cache_dir, default=DEFAULT_ROOT),
+        root=SETTINGS["cache_dir"].value(args.cache_dir) or DEFAULT_ROOT,
         memory_bytes=args.memory_mb << 20,
         lease_timeout=args.lease_timeout,
         verbose=args.verbose,
@@ -528,7 +531,7 @@ def cmd_cachesvc_serve(args) -> int:
 def cmd_cachesvc_stats(args) -> int:
     from ..cachesvc import RemoteCache
 
-    url = resolve_cache_url(args.url)
+    url = SETTINGS["cache_url"].value(args.url)
     if not url:
         print(
             "cachesvc stats: no server; pass --url or set $REPRO_CACHE_URL",
@@ -562,6 +565,20 @@ def cmd_cachesvc_stats(args) -> int:
           f"{flight.get('breaks', 0)} breaks")
     print(f"  duplicates : {payload.get('duplicate_puts', 0)} "
           "duplicate compiles stored")
+    return 0
+
+
+def cmd_config_show(args) -> int:
+    rows = [("setting", "value", "origin", "flag", "env")]
+    for row in SETTINGS.values():
+        value, origin = row.resolve(getattr(args, row.dest, None))
+        plain = None if value is None else row.plain(value)
+        shown = "none" if plain is None else str(plain)
+        env = f"${row.env}" if row.env else "-"
+        rows.append((row.name, shown, origin, row.flag, env))
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    for cells in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
     return 0
 
 
@@ -730,19 +747,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect/clear the on-disk experiment cache")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     pc = cache_sub.add_parser("stats", help="entry/byte counts per code version")
-    pc.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)")
-    pc.add_argument("--cache-url", default=None, metavar="URL",
-                    help=(
-                        "also aggregate tier counters from a shared cache "
-                        "server (default: $REPRO_CACHE_URL if set)"
-                    ))
+    SETTINGS["cache_dir"].add_argument(pc, help=_MAINTENANCE_ROOT_HELP)
+    SETTINGS["cache_url"].add_argument(
+        pc, help="also aggregate tier counters from a shared cache server"
+    )
     pc.add_argument("--json", action="store_true",
                     help="machine-readable output (the /stats disk payload)")
     pc.set_defaults(func=cmd_cache_stats)
     pc = cache_sub.add_parser("clear", help="delete cached artefacts")
-    pc.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)")
+    SETTINGS["cache_dir"].add_argument(pc, help=_MAINTENANCE_ROOT_HELP)
     pc.add_argument("--all", action="store_true",
                     help="clear every code-version shard, not just the current one")
     pc.set_defaults(func=cmd_cache_clear)
@@ -761,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--port", type=int, default=CACHESVC_DEFAULT_PORT,
                     help=f"TCP port (0 = ephemeral; default: "
                          f"{CACHESVC_DEFAULT_PORT})")
-    pv.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="disk-cache root to serve (default: "
-                         "$REPRO_CACHE_DIR or .repro_cache)")
+    SETTINGS["cache_dir"].add_argument(
+        pv, help=f"disk-cache root to serve (default: {DEFAULT_ROOT})"
+    )
     pv.add_argument("--memory-mb", type=int, default=256, metavar="MB",
                     help="warm in-memory tier budget (default: 256 MiB)")
     pv.add_argument("--lease-timeout", type=float, default=600.0,
@@ -774,8 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log every request to stderr")
     pv.set_defaults(func=cmd_cachesvc_serve)
     pv = svc_sub.add_parser("stats", help="query a running server's /stats")
-    pv.add_argument("--url", default=None, metavar="URL",
-                    help="server URL (default: $REPRO_CACHE_URL)")
+    SETTINGS["cache_url"].add_argument(pv, "--url", help="server URL")
     pv.add_argument("--json", action="store_true",
                     help="machine-readable output (the raw /stats payload)")
     pv.set_defaults(func=cmd_cachesvc_stats)
@@ -792,10 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
          "re-derive every checkable claim (digests, addressing, shard)"),
     ]:
         pm = manifest_sub.add_parser(name, help=doc)
-        pm.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help="cache root (default: $REPRO_CACHE_DIR or .repro_cache)",
-        )
+        SETTINGS["cache_dir"].add_argument(pm, help=_MAINTENANCE_ROOT_HELP)
         pm.add_argument(
             "--all", action="store_true",
             help="include every code-version shard, not just the current one",
@@ -830,10 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes (faster startup, no crash isolation)"
         ),
     )
-    p.add_argument(
-        "--retries", default=None, metavar="N",
-        help="retry attempt budget per job (default: $REPRO_RETRIES or 3)",
-    )
+    SETTINGS["retries"].add_argument(p)
     p.add_argument(
         "--allow-frontend", action="store_true",
         help=(
@@ -848,6 +854,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log every request to stderr")
     p.set_defaults(func=cmd_serve)
+
+    p = sub.add_parser("config", help="inspect the session settings")
+    config_sub = p.add_subparsers(dest="config_command", required=True)
+    pc = config_sub.add_parser(
+        "show", help="every setting's effective value and its origin"
+    )
+    Session.add_arguments(pc, source=True)
+    SETTINGS["retries"].add_argument(pc)
+    pc.set_defaults(func=cmd_config_show)
 
     p = sub.add_parser("list", help="list benchmarks and configurations")
     p.set_defaults(func=cmd_list)

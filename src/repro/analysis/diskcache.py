@@ -49,9 +49,6 @@ from ..resilience import faults, manifest as run_manifest
 #: Default cache directory (relative to the working directory).
 DEFAULT_ROOT = ".repro_cache"
 
-#: Environment variable overriding/enabling the cache root.
-CACHE_ENV_VAR = "REPRO_CACHE_DIR"
-
 #: File magic; bump when the entry format changes.
 _MAGIC = b"RPCH1\n"
 
@@ -555,28 +552,3 @@ class DiskCache:
                 pass
         return removed
 
-
-def resolve_cache_dir(
-    explicit: "str | os.PathLike[str] | None" = None,
-    *,
-    default: Optional[str] = None,
-) -> Optional[str]:
-    """Uniform cache-root resolution: explicit > ``$REPRO_CACHE_DIR`` > *default*.
-
-    Every entry point — CLI flags, :class:`repro.flow.Session`
-    construction, the maintenance subcommands — resolves its persistence
-    root through this single function, so the precedence can never drift
-    between them.
-    """
-    if explicit:
-        return str(explicit)
-    env = os.environ.get(CACHE_ENV_VAR, "").strip()
-    if env:
-        return env
-    return default
-
-
-def disk_cache_from_env() -> Optional[DiskCache]:
-    """A :class:`DiskCache` rooted at ``$REPRO_CACHE_DIR``, if set."""
-    root = resolve_cache_dir()
-    return DiskCache(root) if root else None

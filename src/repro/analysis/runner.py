@@ -62,11 +62,11 @@ from ..resilience import (
     WorkerCrashError,
     call_with_retry,
     classify_transient,
-    resolve_timeouts,
     time_limit,
 )
 from ..resilience import events as res_events
 from ..resilience import faults as res_faults
+from ..settings import SETTINGS
 from ..source import Source, SourceLike, resolve_source
 from ..synth.registry import BENCHMARK_ORDER, build_benchmark
 from .diskcache import DiskCache
@@ -1306,7 +1306,8 @@ def run_matrix(
     optimizer = Optimizer(opt_spec, machine)
     policy = retry if retry is not None else DEFAULT_POLICY
     timeouts = (
-        session.timeouts if session is not None else resolve_timeouts(None)
+        session.timeouts if session is not None
+        else SETTINGS["timeouts"].value()
     )
     job_timeout = timeouts.limit("job")
     # Touch the fault plan before any pool exists: an active

@@ -21,9 +21,7 @@ from .model import (
     Geometry,
 )
 from .registry import (
-    ARCH_ENV_VAR,
     DEFAULT_ARCHITECTURE,
-    arch_from_env,
     available_architectures,
     get_architecture,
     register_architecture,
@@ -31,14 +29,12 @@ from .registry import (
 )
 
 __all__ = [
-    "ARCH_ENV_VAR",
     "Architecture",
     "ArchitectureError",
     "CostModel",
     "DEFAULT_ARCHITECTURE",
     "EnduranceModel",
     "Geometry",
-    "arch_from_env",
     "available_architectures",
     "get_architecture",
     "register_architecture",

@@ -44,17 +44,13 @@ be registered (e.g. at module import) in the workers too.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
+from ..settings import SETTINGS
 from .model import Architecture, EnduranceModel, Geometry
 
-#: Environment variable selecting the architecture (overridden by an
-#: explicit ``--arch`` flag / ``Session(arch=...)`` argument).
-ARCH_ENV_VAR = "REPRO_ARCH"
-
 #: Registry name of the architecture used when nothing is selected.
-DEFAULT_ARCHITECTURE = "endurance"
+DEFAULT_ARCHITECTURE = SETTINGS["arch"].default
 
 _REGISTRY: Dict[str, Architecture] = {}
 
@@ -95,29 +91,15 @@ def available_architectures() -> List[str]:
 def resolve_architecture(
     arch: Union[str, Architecture, None] = None,
 ) -> Architecture:
-    """Uniform architecture resolution: explicit > ``$REPRO_ARCH`` > default.
-
-    Mirrors :func:`repro.analysis.diskcache.resolve_cache_dir` so the
-    precedence can never drift between the session knobs.  *arch* may be
-    a registry name or an already-built :class:`Architecture` (returned
-    as-is, registered or not).
+    """An architecture: *arch* as a registry name or an already-built
+    :class:`Architecture` (returned as-is, registered or not); ``None``
+    reads the settings table (``$REPRO_ARCH``, else the default).
     """
-    if arch is not None:
-        if isinstance(arch, Architecture):
-            return arch
-        return get_architecture(arch)
-    env = os.environ.get(ARCH_ENV_VAR, "").strip()
-    if env:
-        return get_architecture(env)
-    return get_architecture(DEFAULT_ARCHITECTURE)
-
-
-def arch_from_env() -> Optional[str]:
-    """The ``$REPRO_ARCH`` selection, if any (validated)."""
-    env = os.environ.get(ARCH_ENV_VAR, "").strip()
-    if not env:
-        return None
-    return get_architecture(env).name
+    if arch is None:
+        return SETTINGS["arch"].value()
+    if isinstance(arch, Architecture):
+        return arch
+    return get_architecture(arch)
 
 
 # -- built-in machines ---------------------------------------------------

@@ -19,7 +19,7 @@ selected via ``Session(cache_url=...)`` / ``--cache-url`` /
 See ``examples/cachefarm.py`` for the full tour.
 """
 
-from .client import CACHE_URL_ENV_VAR, RemoteCache, resolve_cache_url
+from .client import RemoteCache
 from .service import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MEMORY_BYTES,
@@ -30,7 +30,6 @@ from .service import (
 )
 
 __all__ = [
-    "CACHE_URL_ENV_VAR",
     "CacheServer",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_MEMORY_BYTES",
@@ -38,5 +37,4 @@ __all__ = [
     "MemoryTier",
     "RemoteCache",
     "create_cache_server",
-    "resolve_cache_url",
 ]

@@ -46,26 +46,6 @@ from ..analysis.diskcache import (
 from ..resilience import events as res_events
 from ..resilience import faults as res_faults
 
-#: Environment variable selecting a shared cache server.
-CACHE_URL_ENV_VAR = "REPRO_CACHE_URL"
-
-
-def resolve_cache_url(
-    explicit: Optional[str] = None,
-    *,
-    default: Optional[str] = None,
-) -> Optional[str]:
-    """Uniform cache-server resolution: explicit > ``$REPRO_CACHE_URL`` >
-    *default* — the same precedence contract as
-    :func:`~repro.analysis.diskcache.resolve_cache_dir`."""
-    if explicit:
-        return str(explicit)
-    env = os.environ.get(CACHE_URL_ENV_VAR, "").strip()
-    if env:
-        return env
-    return default
-
-
 class RemoteCache:
     """A DiskCache-shaped handle onto a running :class:`CacheServer`.
 

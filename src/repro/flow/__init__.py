@@ -23,7 +23,6 @@ from .session import (
     PRESET_CHOICES,
     Session,
     SessionSpec,
-    resolve_cache_dir,
 )
 from .pipeline import (
     STAGES,
@@ -43,5 +42,4 @@ __all__ = [
     "SessionSpec",
     "StageArtifact",
     "StageEvent",
-    "resolve_cache_dir",
 ]

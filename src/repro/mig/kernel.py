@@ -28,9 +28,10 @@ backend-parity tests assert over random graphs and the full registry.
 
 Selection
 ---------
-:func:`get_kernel` resolves the active kernel: an explicit
-:func:`set_backend` override wins, then the ``REPRO_SIM_BACKEND``
-environment variable (``bigint``, ``numpy``, or ``auto``), then
+:func:`get_kernel` resolves the active kernel: the innermost
+:func:`backend_scope` (entered by :meth:`repro.flow.Session.activated`)
+wins, then the ``REPRO_SIM_BACKEND`` environment variable (``bigint``,
+``numpy``, or ``auto``, read through :mod:`repro.settings`), then
 auto-detection (numpy when importable, bigint otherwise).  Requesting
 the numpy kernel without numpy installed fails loudly rather than
 silently degrading.
@@ -60,13 +61,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..resilience import events as _res_events
 from ..resilience import faults as _res_faults
 from ..resilience.errors import FaultInjected
+from ..settings import SETTINGS
 from .graph import Mig
-
-#: Environment variable naming the simulation backend.
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: Environment variable sizing the simulation worker-thread pool.
-THREADS_ENV_VAR = "REPRO_SIM_THREADS"
 
 try:  # numpy is optional: the bigint kernel needs nothing beyond CPython
     import numpy as _np
@@ -75,41 +71,19 @@ except ImportError:  # pragma: no cover - exercised by the without-numpy CI job
 
 
 # ----------------------------------------------------------------------
-# Thread-count resolution (flag > scope > override > env > default)
+# Thread-count resolution (explicit > scope > env > default)
 # ----------------------------------------------------------------------
+
+_THREADS = SETTINGS["sim_threads"]
 
 #: Default simulation thread count: enough to scale the exhaustive
 #: paths on a multi-core runner without oversubscribing boxes that also
 #: fan out process pools.
-DEFAULT_SIM_THREADS = min(4, os.cpu_count() or 1)
+DEFAULT_SIM_THREADS = int(_THREADS.default)
 
-#: Explicit override installed by :func:`set_sim_threads`.
-_THREADS_OVERRIDE: Optional[int] = None
-
-#: Per-thread stack of :func:`sim_threads_scope` entries; beats the
-#: override, mirroring :func:`backend_scope`.
+#: Per-thread stack of :func:`sim_threads_scope` entries, mirroring
+#: :func:`backend_scope`.
 _THREADS_SCOPE = threading.local()
-
-
-def _validate_threads(value) -> int:
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"invalid simulation thread count {value!r}; "
-            "expected a positive integer"
-        )
-    return count
-
-
-def sim_threads_from_env() -> Optional[int]:
-    """``$REPRO_SIM_THREADS`` as a validated count, or ``None`` if unset."""
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    return _validate_threads(raw)
 
 
 def resolve_sim_threads(value=None) -> int:
@@ -117,21 +91,14 @@ def resolve_sim_threads(value=None) -> int:
 
     An explicit *value* wins (validated, so callers like
     :class:`repro.flow.Session` fail fast on garbage), then the active
-    :func:`sim_threads_scope`, then a :func:`set_sim_threads` override,
-    then ``$REPRO_SIM_THREADS``, then :data:`DEFAULT_SIM_THREADS` —
-    the same flag > env > default precedence as :func:`resolve_backend`.
+    :func:`sim_threads_scope`, then the settings table
+    (``$REPRO_SIM_THREADS``, else :data:`DEFAULT_SIM_THREADS`).
     """
-    if value is not None:
-        return _validate_threads(value)
-    stack = getattr(_THREADS_SCOPE, "stack", None)
-    if stack:
-        return stack[-1]
-    if _THREADS_OVERRIDE is not None:
-        return _THREADS_OVERRIDE
-    env = sim_threads_from_env()
-    if env is not None:
-        return env
-    return DEFAULT_SIM_THREADS
+    if value is None:
+        stack = getattr(_THREADS_SCOPE, "stack", None)
+        if stack:
+            return stack[-1]
+    return _THREADS.value(value)
 
 
 @contextmanager
@@ -145,7 +112,7 @@ def sim_threads_scope(count: Optional[int]):
     if count is None:
         yield resolve_sim_threads()
         return
-    count = _validate_threads(count)
+    count = _THREADS.value(count)
     stack = getattr(_THREADS_SCOPE, "stack", None)
     if stack is None:
         stack = _THREADS_SCOPE.stack = []
@@ -154,13 +121,6 @@ def sim_threads_scope(count: Optional[int]):
         yield count
     finally:
         stack.pop()
-
-
-def set_sim_threads(count: Optional[int]) -> int:
-    """Install an explicit thread-count override (``None`` removes it)."""
-    global _THREADS_OVERRIDE
-    _THREADS_OVERRIDE = _validate_threads(count) if count is not None else None
-    return resolve_sim_threads()
 
 
 #: Worker-thread pools by size, created lazily and kept for the life of
@@ -962,13 +922,11 @@ class NumpyKernel:
 _BIGINT = BigintKernel()
 _NUMPY = NumpyKernel() if _np is not None else None
 
-#: Explicit override installed by :func:`set_backend`; beats the
-#: environment variable.
-_OVERRIDE: Optional[object] = None
+_BACKEND = SETTINGS["backend"]
 
-#: Per-thread stack of :func:`backend_scope` overrides; beats everything.
-#: Thread-local so concurrent sessions cannot clobber each other's
-#: backend, and a stack so scopes nest and unwind correctly.
+#: Per-thread stack of :func:`backend_scope` overrides; beats the
+#: settings table.  Thread-local so concurrent sessions cannot clobber
+#: each other's backend, and a stack so scopes nest and unwind correctly.
 _SCOPE = threading.local()
 
 
@@ -983,29 +941,24 @@ def available_backends() -> List[str]:
 
 
 def _resolve(name: str):
+    name = _BACKEND.parse(name)
     if name == "bigint":
         return _BIGINT
     if name == "numpy":
         if _NUMPY is None:
             raise ImportError(
-                f"{BACKEND_ENV_VAR}/set_backend requested the 'numpy' "
-                "simulation backend but numpy is not importable; install "
-                "numpy or select the 'bigint' backend"
+                "the 'numpy' simulation backend was requested but numpy "
+                "is not importable; install numpy or select the 'bigint' "
+                "backend"
             )
         return _NUMPY
-    if name == "auto":
-        return _NUMPY if _NUMPY is not None else _BIGINT
-    raise ValueError(
-        f"unknown simulation backend {name!r}; "
-        f"choose one of: auto, bigint, numpy"
-    )
+    return _NUMPY if _NUMPY is not None else _BIGINT  # auto
 
 
 def resolve_backend(name: str):
     """Resolve a backend *name* to its kernel without installing it.
 
-    Validates availability the same way :func:`set_backend` does —
-    requesting the numpy kernel without numpy raises ``ImportError``, an
+    Requesting the numpy kernel without numpy raises ``ImportError``, an
     unknown name raises ``ValueError`` — so callers (e.g.
     :class:`repro.flow.Session`) can fail fast at construction time.
     """
@@ -1016,8 +969,8 @@ def resolve_backend(name: str):
 def backend_scope(name: Optional[str]):
     """Temporarily install *name* as the backend override.
 
-    ``None`` is a no-op scope: the ambient selection (an existing
-    override, then ``$REPRO_SIM_BACKEND``, then auto-detection) stays in
+    ``None`` is a no-op scope: the ambient selection (an enclosing
+    scope, then ``$REPRO_SIM_BACKEND``, then auto-detection) stays in
     effect.  The override lives on a thread-local stack, so scopes nest
     and concurrent sessions on different threads cannot clobber each
     other (threads spawned *inside* a scope start unscoped).  Yields the
@@ -1037,22 +990,9 @@ def backend_scope(name: Optional[str]):
         stack.pop()
 
 
-def set_backend(name: Optional[str]):
-    """Install an explicit backend override (``None`` removes it).
-
-    Returns the now-active kernel.  Mostly for tests and embedding code;
-    command-line users set ``REPRO_SIM_BACKEND`` instead.
-    """
-    global _OVERRIDE
-    _OVERRIDE = _resolve(name) if name is not None else None
-    return get_kernel()
-
-
 def get_kernel():
-    """The active simulation kernel (scope > override > environment > auto)."""
+    """The active simulation kernel (scope > environment > auto)."""
     stack = getattr(_SCOPE, "stack", None)
     if stack:
         return stack[-1]
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return _resolve(os.environ.get(BACKEND_ENV_VAR, "auto") or "auto")
+    return _resolve(_BACKEND.value())

@@ -28,14 +28,12 @@ The paper's fixed script entry points live in :mod:`repro.opt.scripts`.
 from .engine import (
     DEFAULT_LOOKAHEAD,
     DEFAULT_OPTIMIZER,
-    OPT_ENV_VAR,
     OptLike,
     Optimizer,
     OptimizerSpec,
     Strategy,
     available_strategies,
     get_strategy,
-    opt_from_env,
     register_strategy,
     resolve_optimizer,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_LOOKAHEAD",
     "DEFAULT_OBJECTIVE",
     "DEFAULT_OPTIMIZER",
-    "OPT_ENV_VAR",
     "Objective",
     "OptLike",
     "Optimizer",
@@ -89,7 +86,6 @@ __all__ = [
     "get_objective",
     "get_pass",
     "get_strategy",
-    "opt_from_env",
     "register_objective",
     "register_pass",
     "register_strategy",

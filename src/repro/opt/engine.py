@@ -40,22 +40,18 @@ Strategies are registered like architectures and objectives
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..arch import Architecture
 from ..mig.graph import Mig
+from ..settings import SETTINGS
 from .objectives import DEFAULT_OBJECTIVE, Objective, get_objective
 from .passes import atomic_passes, candidate_passes
 from .scripts import DEFAULT_EFFORT, rewrite
 
-#: Environment variable selecting the optimizer (overridden by an
-#: explicit ``--opt`` flag / ``Session(opt=...)`` argument).
-OPT_ENV_VAR = "REPRO_OPT"
-
 #: Spec string used when nothing is selected (the legacy pipelines).
-DEFAULT_OPTIMIZER = "script"
+DEFAULT_OPTIMIZER = SETTINGS["opt"].default
 
 #: Default look-ahead depth of the ``budget`` strategy.
 DEFAULT_LOOKAHEAD = 2
@@ -303,25 +299,11 @@ OptLike = Union[str, OptimizerSpec, None]
 
 
 def resolve_optimizer(opt: OptLike = None) -> OptimizerSpec:
-    """Uniform optimizer resolution: explicit > ``$REPRO_OPT`` > default.
-
-    Mirrors :func:`repro.arch.resolve_architecture` so the precedence
-    can never drift between the session knobs.
-    """
-    if opt is not None:
-        return OptimizerSpec.parse(opt)
-    env = os.environ.get(OPT_ENV_VAR, "").strip()
-    if env:
-        return OptimizerSpec.parse(env)
-    return OptimizerSpec()
-
-
-def opt_from_env() -> Optional[str]:
-    """The ``$REPRO_OPT`` selection, if any (validated, canonical)."""
-    env = os.environ.get(OPT_ENV_VAR, "").strip()
-    if not env:
-        return None
-    return OptimizerSpec.parse(env).label()
+    """An optimizer spec: *opt* parsed, or for ``None`` the settings
+    table's selection (``$REPRO_OPT``, else the ``script`` default)."""
+    if opt is None:
+        return SETTINGS["opt"].value()
+    return OptimizerSpec.parse(opt)
 
 
 class Optimizer:

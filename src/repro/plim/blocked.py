@@ -20,7 +20,11 @@ exploits at runtime.
   searched in block-recency order (the open line first), LIFO within a
   line; under ``min_write`` the least-*worn* line is searched first
   (line wear = its hottest cell — word-line stress is bounded by the
-  worst device), least-written cell within it;
+  worst device), least-written cell within it.  ``min_write`` keeps a
+  heap of free cells per line and heaps of lines keyed by wear, one per
+  least-written-free-cell write count, so a request never scans the
+  pool: it compares the heap tops of the counts that leave enough
+  headroom;
 * the write-cap **retirement** semantics match the crossbar allocator
   cell for cell, so the maximum write count strategy runs unchanged.
 
@@ -32,7 +36,8 @@ compiler consumes either through the same code path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from .allocator import (
     CapacityExceededError,
@@ -82,6 +87,18 @@ class BlockedAllocator:
         #: "open line" preference of the naive search.
         self._recency: List[int] = []
         self.retired: Set[int] = set()
+        # min_write state.  _cell_heaps hold one (writes, addr) entry
+        # per free cell of a line; a cell leaves only from the top, and
+        # the top is kept current (a pooled cell may be written).  Line
+        # wear only grows, so it is a running max.  A line with free
+        # cells is queued as (wear, line) in _line_heaps[bucket], bucket
+        # = the writes of its least-written free cell (0 when uncapped:
+        # every line fits); _queued holds the (bucket, wear) it is
+        # queued under now, and an entry that does not match is stale.
+        self._wear: List[int] = []
+        self._cell_heaps: Dict[int, List[Tuple[int, int]]] = {}
+        self._line_heaps: Dict[int, List[Tuple[int, int]]] = {}
+        self._queued: Dict[int, Tuple[int, int]] = {}
 
     # -- geometry ---------------------------------------------------------
 
@@ -109,18 +126,14 @@ class BlockedAllocator:
                 f"cells ({self.capacity // self.block_size} lines)"
             )
         self.writes.append(0)
+        if addr % self.block_size == 0:
+            self._wear.append(0)
         return addr
 
     def _fits(self, addr: int, headroom: int) -> bool:
         return (
             self.w_max is None or self.writes[addr] + headroom <= self.w_max
         )
-
-    def _block_wear(self, block: int) -> int:
-        """Line wear: the hottest cell of the word line."""
-        start = block * self.block_size
-        stop = min(start + self.block_size, len(self.writes))
-        return max(self.writes[start:stop], default=0)
 
     def request(self, headroom: int = 1) -> int:
         """A free device with *headroom* writes left, else a fresh one.
@@ -162,29 +175,48 @@ class BlockedAllocator:
                 return found
         return None
 
+    def _requeue(self, block: int) -> None:
+        """Queue the line under its current (bucket, wear), if changed."""
+        heap = self._cell_heaps.get(block)
+        if not heap:
+            self._queued.pop(block, None)
+            return
+        while heap[0][0] != self.writes[heap[0][1]]:
+            heapq.heapreplace(heap, (self.writes[heap[0][1]], heap[0][1]))
+        bucket = heap[0][0] if self.w_max is not None else 0
+        state = (bucket, self._wear[block])
+        if self._queued.get(block) != state:
+            self._queued[block] = state
+            heapq.heappush(
+                self._line_heaps.setdefault(bucket, []),
+                (self._wear[block], block),
+            )
+
     def _request_min_write(self, headroom: int) -> Optional[int]:
-        candidates = [
-            block
-            for block, stack in self._free_stacks.items()
-            if any(a in self._free_set for a in stack)
-        ]
-        for block in sorted(
-            candidates, key=lambda b: (self._block_wear(b), b)
-        ):
-            fitting = [
-                a
-                for a in self._free_stacks[block]
-                if a in self._free_set and self._fits(a, headroom)
-            ]
-            if not fitting:
+        # A line fits iff its least-written free cell does: the least
+        # worn fitting line is the smallest top among the buckets with
+        # enough headroom left.
+        limit = 0 if self.w_max is None else self.w_max - headroom
+        best = None
+        for bucket in list(self._line_heaps):
+            if bucket > limit:
                 continue
-            addr = min(fitting, key=lambda a: (self.writes[a], a))
-            self._free_set.discard(addr)
-            self._free_stacks[block] = [
-                a for a in self._free_stacks[block] if a != addr
-            ]
-            return addr
-        return None
+            lines = self._line_heaps[bucket]
+            while lines and self._queued.get(lines[0][1]) != (
+                bucket, lines[0][0]
+            ):
+                heapq.heappop(lines)  # stale
+            if not lines:
+                del self._line_heaps[bucket]
+            elif best is None or lines[0] < best:
+                best = lines[0]
+        if best is None:
+            return None
+        block = best[1]
+        _, addr = heapq.heappop(self._cell_heaps[block])
+        self._free_set.discard(addr)
+        self._requeue(block)
+        return addr
 
     def release(self, addr: int) -> None:
         """Return *addr* to its line's pool (or retire it at the cap)."""
@@ -195,6 +227,13 @@ class BlockedAllocator:
             return
         block = self._block_of(addr)
         self._free_set.add(addr)
+        if self.strategy == "min_write":
+            heapq.heappush(
+                self._cell_heaps.setdefault(block, []),
+                (self.writes[addr], addr),
+            )
+            self._requeue(block)
+            return
         self._free_stacks.setdefault(block, []).append(addr)
         # Move the line to the front of the recency order (open line).
         if self._recency and self._recency[0] == block:
@@ -211,6 +250,11 @@ class BlockedAllocator:
     def record_write(self, addr: int) -> None:
         """Charge one compile-time write to *addr*."""
         self.writes[addr] += 1
+        if self.strategy == "min_write":
+            block = self._block_of(addr)
+            self._wear[block] = max(self._wear[block], self.writes[addr])
+            if block in self._queued:
+                self._requeue(block)
 
     def writable(self, addr: int) -> bool:
         """May the compiler still target *addr* with an RM3?"""

@@ -46,17 +46,12 @@ from .manifest import (
 )
 from .retry import (
     DEFAULT_POLICY,
-    RETRY_ENV_VAR,
     RetryPolicy,
     call_with_retry,
-    resolve_retry,
 )
 from .timeouts import (
-    TIMEOUT_ENV_VAR,
     Timeouts,
-    resolve_timeouts,
     time_limit,
-    timeouts_from_env,
 )
 
 __all__ = [
@@ -67,12 +62,10 @@ __all__ = [
     "FaultPlan",
     "MANIFEST_SCHEMA",
     "PermanentFault",
-    "RETRY_ENV_VAR",
     "ReproError",
     "RetriesExhaustedError",
     "RetryPolicy",
     "StageTimeoutError",
-    "TIMEOUT_ENV_VAR",
     "Timeouts",
     "TransientFault",
     "WorkerCrashError",
@@ -86,10 +79,7 @@ __all__ = [
     "load_manifest",
     "manifest_path",
     "parse_faults",
-    "resolve_retry",
-    "resolve_timeouts",
     "time_limit",
-    "timeouts_from_env",
     "verify_manifest",
     "write_manifest",
 ]

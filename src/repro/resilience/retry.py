@@ -18,7 +18,6 @@ constraints shape it:
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
@@ -43,6 +42,29 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.25
 
+    @classmethod
+    def parse(cls, attempts: Union[int, str, "RetryPolicy"]) -> "RetryPolicy":
+        """The default policy with an attempt budget of *attempts*.
+
+        The backoff shape stays the default's.  Malformed or
+        non-positive budgets raise :class:`ValueError` (fail fast, like
+        ``Timeouts.parse``).
+        """
+        if isinstance(attempts, cls):
+            return attempts
+        try:
+            count = int(attempts)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"invalid retry budget {attempts!r} (expected an integer "
+                f"number of attempts)"
+            ) from None
+        if count < 1:
+            raise ValueError(f"retry budget must be >= 1, got {count}")
+        if count == DEFAULT_POLICY.attempts:
+            return DEFAULT_POLICY
+        return replace(DEFAULT_POLICY, attempts=count)
+
     def delay(self, attempt: int, key: Tuple = ()) -> float:
         """Seconds to wait before retry number *attempt* (1-based)."""
         raw = self.base * self.factor ** max(0, attempt - 1)
@@ -56,41 +78,6 @@ class RetryPolicy:
 
 #: The supervisor's default: three attempts, 50 ms first backoff.
 DEFAULT_POLICY = RetryPolicy()
-
-#: Environment override for the retry attempt budget.
-RETRY_ENV_VAR = "REPRO_RETRIES"
-
-
-def resolve_retry(
-    attempts: Union[int, str, None] = None,
-) -> RetryPolicy:
-    """Resolve the retry budget: flag > ``$REPRO_RETRIES`` > default.
-
-    Same precedence contract as every other session knob (backend,
-    cache dir, timeouts): an explicit *attempts* wins, else the
-    environment variable, else :data:`DEFAULT_POLICY`.  The value is
-    the attempt budget; backoff shape stays the default's.  Malformed
-    or non-positive values raise :class:`ValueError` (fail fast, like
-    ``Timeouts.parse``).
-    """
-    if attempts is None:
-        raw = os.environ.get(RETRY_ENV_VAR, "").strip()
-        if not raw:
-            return DEFAULT_POLICY
-        attempts = raw
-    try:
-        count = int(attempts)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid retry budget {attempts!r} (expected an integer "
-            f"number of attempts)"
-        ) from None
-    if count < 1:
-        raise ValueError(f"retry budget must be >= 1, got {count}")
-    if count == DEFAULT_POLICY.attempts:
-        return DEFAULT_POLICY
-    return replace(DEFAULT_POLICY, attempts=count)
-
 
 def call_with_retry(
     fn: Callable,

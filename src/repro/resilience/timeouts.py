@@ -6,9 +6,8 @@ This module gives every pipeline stage a wall-clock budget:
 * :class:`Timeouts` — the parsed budget: a default limit plus per-stage
   overrides, from a spec string like ``"30"`` (every stage) or
   ``"compile=120,verify=30,job=600"``.
-* :func:`resolve_timeouts` — the uniform **flag > environment >
-  default** precedence against ``$REPRO_TIMEOUT``, mirroring
-  ``resolve_cache_dir`` / ``resolve_architecture``.
+* the ``timeouts`` row of :mod:`repro.settings` — the uniform **flag >
+  environment > default** precedence against ``$REPRO_TIMEOUT``.
 * :func:`time_limit` — the enforcement context: ``SIGALRM``-based, so a
   stage stuck in a C extension or a tight loop is still interrupted.
   Raises :class:`~repro.resilience.errors.StageTimeoutError` (permanent:
@@ -24,7 +23,6 @@ supervisor additionally enforces the ``job`` budget from the parent side
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -33,9 +31,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import StageTimeoutError
-
-#: Environment variable holding the ambient timeout spec.
-TIMEOUT_ENV_VAR = "REPRO_TIMEOUT"
 
 #: Budget names a spec may address: the four pipeline stages plus the
 #: whole-job budget the parallel supervisor enforces per worker job.
@@ -125,21 +120,6 @@ class Timeouts:
 
     def __bool__(self) -> bool:
         return self.default is not None or bool(self.stages)
-
-
-def timeouts_from_env() -> Optional[str]:
-    """The ambient ``$REPRO_TIMEOUT`` spec string, if set."""
-    value = os.environ.get(TIMEOUT_ENV_VAR, "").strip()
-    return value or None
-
-
-def resolve_timeouts(
-    explicit: "str | float | Timeouts | None" = None,
-) -> Timeouts:
-    """Uniform budget resolution: explicit > ``$REPRO_TIMEOUT`` > none."""
-    if explicit is not None:
-        return Timeouts.parse(explicit)
-    return Timeouts.parse(timeouts_from_env())
 
 
 def alarm_capable() -> bool:

@@ -35,6 +35,7 @@ from ..arch import Architecture, available_architectures, resolve_architecture
 from ..core.manager import EnduranceConfig, PRESETS, full_management
 from ..mig.io import MigParseError, loads_aiger, loads_blif, loads_mig
 from ..opt import OptimizerSpec, resolve_optimizer
+from ..settings import PRESET_CHOICES
 from ..source import MigSource, Source, resolve_source
 from ..synth.frontend import FrontendFunction, mig_function
 from ..analysis.runner import experiment_key
@@ -46,9 +47,6 @@ INLINE_NETLIST_FORMATS = {
     ".blif": loads_blif,
     ".aag": loads_aiger,
 }
-
-#: Benchmark width presets a job may select (mirrors the CLI choices).
-PRESET_CHOICES = ("tiny", "default", "paper")
 
 #: Default verification width applied when a job does not choose one —
 #: matches the harness default, so served artefacts carry certificates.

@@ -13,13 +13,11 @@ from .base import (
     Source,
 )
 from .registry import (
-    SOURCE_ENV_VAR,
     SourceLike,
     available_sources,
     get_source,
     register_source,
     resolve_source,
-    source_from_env,
 )
 
 __all__ = [
@@ -27,12 +25,10 @@ __all__ = [
     "FrontendSource",
     "MigSource",
     "RegistrySource",
-    "SOURCE_ENV_VAR",
     "Source",
     "SourceLike",
     "available_sources",
     "get_source",
     "register_source",
     "resolve_source",
-    "source_from_env",
 ]

@@ -34,11 +34,12 @@ The file's stem then works everywhere a benchmark name does —
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from ..mig.graph import Mig
 from ..mig.io import NETLIST_READERS
 from ..synth.frontend import FrontendFunction
+from ..settings import SETTINGS
 from ..synth.registry import BENCHMARK_ORDER
 from .base import (
     FileSource,
@@ -47,10 +48,6 @@ from .base import (
     RegistrySource,
     Source,
 )
-
-#: Environment variable selecting the default source (overridden by an
-#: explicit ``.source(...)`` declaration / ``Session(source=...)``).
-SOURCE_ENV_VAR = "REPRO_SOURCE"
 
 #: Everything :func:`resolve_source` accepts.
 SourceLike = Union[str, Source, Mig, FrontendFunction, None]
@@ -95,7 +92,8 @@ def _looks_like_path(value: str) -> bool:
 
 
 def resolve_source(source: SourceLike = None) -> Source:
-    """Uniform source resolution: explicit > ``$REPRO_SOURCE``.
+    """A source: *source* resolved, or for ``None`` the settings table's
+    selection (``$REPRO_SOURCE``).
 
     Strings resolve through the registry first, then as netlist paths
     (a recognised extension or a path separator marks a path even when
@@ -105,13 +103,13 @@ def resolve_source(source: SourceLike = None) -> Source:
     ``$REPRO_SOURCE`` raises.
     """
     if source is None:
-        env = os.environ.get(SOURCE_ENV_VAR, "").strip()
-        if not env:
+        selected = SETTINGS["source"].value()
+        if selected is None:
             raise ValueError(
                 "no source selected; declare one explicitly or set "
-                f"${SOURCE_ENV_VAR}"
+                f"${SETTINGS['source'].env}"
             )
-        source = env
+        return selected
     if isinstance(source, Source):
         return source
     if isinstance(source, Mig):
@@ -132,15 +130,6 @@ def resolve_source(source: SourceLike = None) -> Source:
         f"cannot interpret {type(source).__name__} as a source; expected "
         "a name, a netlist path, a Source, a Mig, or a @mig_function"
     )
-
-
-def source_from_env() -> Optional[str]:
-    """The ``$REPRO_SOURCE`` selection, if any (validated)."""
-    env = os.environ.get(SOURCE_ENV_VAR, "").strip()
-    if not env:
-        return None
-    resolve_source(env)
-    return env
 
 
 # -- built-in sources: the 18 paper benchmarks ---------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.plim.allocator import MIN_WRITE_CAP, RramAllocator
+from repro.plim.blocked import BlockedAllocator
 
 
 class TestBasics:
@@ -343,3 +344,102 @@ class TestRequestCost:
         assert max(program.write_counts()) <= 10
         assert calls["heappop"] > 0
         assert calls["heappop"] <= calls["release"]
+
+
+class _FullScanBlockedAllocator(BlockedAllocator):
+    """The word-line allocator's ``min_write`` request as it was before
+    the line and cell heaps: every request rebuilds the list of lines
+    with free cells, sorts it by line wear (a slice max per line) and
+    filters every pooled cell.  Kept as the reference."""
+
+    def release(self, addr: int) -> None:
+        if addr in self._free_set:
+            raise ValueError(f"double release of cell {addr}")
+        if self.w_max is not None and self.writes[addr] >= self.w_max:
+            self.retired.add(addr)
+            return
+        self._free_set.add(addr)
+        self._free_stacks.setdefault(self._block_of(addr), []).append(addr)
+
+    def _line_wear(self, block: int) -> int:
+        start = block * self.block_size
+        stop = min(start + self.block_size, len(self.writes))
+        return max(self.writes[start:stop], default=0)
+
+    def _request_min_write(self, headroom: int):
+        candidates = [
+            block
+            for block, stack in self._free_stacks.items()
+            if any(a in self._free_set for a in stack)
+        ]
+        for block in sorted(
+            candidates, key=lambda b: (self._line_wear(b), b)
+        ):
+            fitting = [
+                a
+                for a in self._free_stacks[block]
+                if a in self._free_set and self._fits(a, headroom)
+            ]
+            if not fitting:
+                continue
+            addr = min(fitting, key=lambda a: (self.writes[a], a))
+            self._free_set.discard(addr)
+            self._free_stacks[block] = [
+                a for a in self._free_stacks[block] if a != addr
+            ]
+            return addr
+        return None
+
+
+class TestBlockedRequestEquivalence:
+    """The heap-based word-line ``min_write`` request returns exactly
+    what the full scan did."""
+
+    @pytest.mark.parametrize("block_size", [1, 2, 8])
+    @pytest.mark.parametrize("w_max", [None, 3, 10])
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS)
+    # A pooled cell refused for lack of headroom must still serve a
+    # later, smaller request; a write to a pooled cell re-keys it.
+    @example(ops=[
+        ("request", 0), ("request", 0), ("write", 1), ("write", 1),
+        ("release", 0), ("write", 0), ("request", 2), ("request", 0),
+    ])
+    def test_matches_full_scan(self, block_size, w_max, ops):
+        new = BlockedAllocator(block_size, "min_write", w_max)
+        ref = _FullScanBlockedAllocator(block_size, "min_write", w_max)
+        in_use = []
+        for kind, arg in ops:
+            if kind == "request":
+                headroom = 1 + arg % 3
+                addr = new.request(headroom)
+                assert addr == ref.request(headroom)
+                in_use.append(addr)
+            elif kind == "write" and new.writes:
+                # Mostly a cell in use; now and then any cell, pooled
+                # ones included.
+                if in_use and arg % 4:
+                    addr = in_use[arg % len(in_use)]
+                else:
+                    addr = arg % len(new.writes)
+                new.record_write(addr)
+                ref.record_write(addr)
+            elif kind == "release" and in_use:
+                addr = in_use.pop(arg % len(in_use))
+                new.release(addr)
+                ref.release(addr)
+            assert new.writes == ref.writes
+            assert new._free_set == ref._free_set
+            assert new.retired == ref.retired
+
+    def test_unfit_lines_stay_pooled(self):
+        """Lines skipped for lack of headroom stay in the pool for a
+        later, smaller request."""
+        alloc = BlockedAllocator(2, "min_write", w_max=10)
+        cells = [alloc.new_cell() for _ in range(4)]
+        for cell in cells:
+            for _ in range(9):
+                alloc.record_write(cell)
+            alloc.release(cell)
+        assert alloc.request(headroom=2) == 4  # nothing fits: a new cell
+        assert alloc.request(headroom=1) == 0

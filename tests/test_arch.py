@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.arch import (
-    ARCH_ENV_VAR,
     Architecture,
     ArchitectureError,
     CostModel,
@@ -32,7 +31,10 @@ from repro.core.manager import PRESETS, compile_pipeline, full_management
 from repro.flow import Flow, Session
 from repro.plim.allocator import CapacityExceededError
 from repro.plim.blocked import BlockedAllocator
+from repro.settings import SETTINGS
 from repro.synth.registry import build_benchmark
+
+ARCH_ENV_VAR = SETTINGS["arch"].env
 
 
 class TestRegistry:

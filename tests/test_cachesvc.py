@@ -27,14 +27,16 @@ from repro.analysis.diskcache import (
     verify_blob,
 )
 from repro.cachesvc import (
-    CACHE_URL_ENV_VAR,
     MemoryTier,
     RemoteCache,
     create_cache_server,
-    resolve_cache_url,
 )
 from repro.flow import Session
 from repro.resilience import events, faults
+from repro.settings import SETTINGS
+
+CACHE_URL = SETTINGS["cache_url"]
+CACHE_URL_ENV_VAR = CACHE_URL.env
 
 
 @pytest.fixture(autouse=True)
@@ -126,18 +128,20 @@ class TestMemoryTier:
 
 class TestResolveCacheUrl:
     def test_default_is_none(self):
-        assert resolve_cache_url() is None
+        assert CACHE_URL.value() is None
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(CACHE_URL_ENV_VAR, "http://env:1")
-        assert resolve_cache_url("http://flag:2") == "http://flag:2"
+        assert CACHE_URL.value("http://flag:2") == "http://flag:2"
 
     def test_env_wins_over_default(self, monkeypatch):
+        # A caller with a fallback of its own applies it to the table's
+        # None, as the maintenance commands do with DEFAULT_ROOT.
         monkeypatch.setenv(CACHE_URL_ENV_VAR, "http://env:1")
-        assert resolve_cache_url(default="http://dflt:3") == "http://env:1"
+        assert (CACHE_URL.value() or "http://dflt:3") == "http://env:1"
 
     def test_fallback_to_default(self):
-        assert resolve_cache_url(default="http://dflt:3") == "http://dflt:3"
+        assert (CACHE_URL.value() or "http://dflt:3") == "http://dflt:3"
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,13 @@ import os
 
 import pytest
 
-from repro.analysis.diskcache import (
-    CACHE_ENV_VAR,
-    DiskCache,
-    code_fingerprint,
-    disk_cache_from_env,
-)
+from repro.analysis.diskcache import DiskCache, code_fingerprint
 from repro.analysis.runner import ExperimentCache, run_matrix
 from repro.core.manager import PRESETS
+from repro.flow import Session
+from repro.settings import SETTINGS
+
+CACHE_ENV_VAR = SETTINGS["cache_dir"].env
 
 
 class TestDiskCacheBasics:
@@ -43,9 +42,9 @@ class TestDiskCacheBasics:
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert disk_cache_from_env() is None
+        assert Session.from_env().disk is None
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "c"))
-        cache = disk_cache_from_env()
+        cache = Session.from_env().disk
         assert cache is not None and cache.root == tmp_path / "c"
 
 

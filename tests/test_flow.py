@@ -12,7 +12,7 @@ from repro.core.manager import (
     full_management,
 )
 from repro.flow import Flow, FlowResult, Session, SessionSpec, StageEvent
-from repro.mig.kernel import get_kernel, set_backend
+from repro.mig.kernel import get_kernel, resolve_backend
 
 SUBSET = ["adder", "dec"]
 
@@ -129,7 +129,6 @@ class TestSessionEnvPrecedence:
         assert Session.from_spec(spec).sim_threads == 3
 
     def test_activated_scope_restores_override(self):
-        assert set_backend(None).name  # clear any leftover override
         ambient = get_kernel()
         with Session(backend="bigint").activated() as kernel:
             assert kernel.name == "bigint"
@@ -141,7 +140,6 @@ class TestSessionEnvPrecedence:
         and no override may leak once every scope has exited."""
         import threading
 
-        assert set_backend(None).name
         ambient = get_kernel()
         barrier = threading.Barrier(2)
         observed = {}
@@ -161,7 +159,7 @@ class TestSessionEnvPrecedence:
         for t in threads:
             t.join()
         assert observed["a"] == "bigint"
-        assert observed["b"] == get_kernel().name  # auto = ambient kernel
+        assert observed["b"] == resolve_backend("auto").name
         assert get_kernel() is ambient  # nothing leaked
 
 

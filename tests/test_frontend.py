@@ -23,9 +23,8 @@ from repro.synth.frontend import (
 def backend(request):
     if request.param not in kernel.available_backends():
         pytest.skip(f"{request.param} backend unavailable")
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(None)
+    with kernel.backend_scope(request.param):
+        yield request.param
 
 
 def circuit_eval(ff: FrontendFunction, *args: int):

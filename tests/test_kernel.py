@@ -8,6 +8,7 @@ from repro.mig import kernel
 from repro.mig.graph import Mig
 from repro.mig.signal import complement
 from repro.resilience.errors import FaultInjected
+from repro.settings import SETTINGS
 from repro.mig.simulate import (
     equivalent,
     find_counterexample,
@@ -21,43 +22,51 @@ needs_numpy = pytest.mark.skipif(
     not kernel.numpy_available(), reason="numpy not installed"
 )
 
+BACKEND_ENV = SETTINGS["backend"].env
+THREADS_ENV = SETTINGS["sim_threads"].env
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave no backend override behind, whatever a test does."""
-    yield
-    kernel.set_backend(None)
+
+@pytest.fixture
+def numpy_backend(monkeypatch):
+    """Select the numpy kernel process-wide (every thread) for one test."""
+    monkeypatch.setenv(BACKEND_ENV, "numpy")
+    return kernel.get_kernel()
 
 
 class TestSelection:
     def test_bigint_always_available(self):
         assert "bigint" in kernel.available_backends()
 
-    def test_set_backend_override(self):
-        assert kernel.set_backend("bigint").name == "bigint"
-        assert kernel.get_kernel().name == "bigint"
-        kernel.set_backend(None)
+    def test_backend_scope_override(self):
+        ambient = kernel.get_kernel()
+        with kernel.backend_scope("bigint") as active:
+            assert active.name == "bigint"
+            assert kernel.get_kernel().name == "bigint"
+        assert kernel.get_kernel() is ambient
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "bigint")
+        monkeypatch.setenv(BACKEND_ENV, "bigint")
         assert kernel.get_kernel().name == "bigint"
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
+        monkeypatch.setenv(BACKEND_ENV, "auto")
         assert kernel.get_kernel().name in ("bigint", "numpy")
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV_VAR, "auto")
-        kernel.set_backend("bigint")
-        assert kernel.get_kernel().name == "bigint"
+        monkeypatch.setenv(BACKEND_ENV, "auto")
+        with kernel.backend_scope("bigint"):
+            assert kernel.get_kernel().name == "bigint"
 
     def test_unknown_backend_rejected(self):
         # The retired engine's name and the old aliases are unknown too.
         for name in ("cuda", "numpy-batch", "batch", "python"):
             with pytest.raises(ValueError, match="unknown simulation backend"):
-                kernel.set_backend(name)
+                kernel.resolve_backend(name)
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                with kernel.backend_scope(name):
+                    pass
 
     def test_unknown_env_value_rejected(self, monkeypatch):
         for name in ("gpu", "numpy-batch"):
-            monkeypatch.setenv(kernel.BACKEND_ENV_VAR, name)
+            monkeypatch.setenv(BACKEND_ENV, name)
             with pytest.raises(ValueError, match="unknown simulation backend"):
                 kernel.get_kernel()
 
@@ -79,58 +88,55 @@ class TestSelection:
 
 
 class TestSimThreads:
-    """Thread-count resolution: flag > scope > override > env > default."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_threads(self):
-        yield
-        kernel.set_sim_threads(None)
+    """Thread-count resolution: explicit > scope > env > default."""
 
     def test_default_is_bounded_by_cpu_count(self, monkeypatch):
         import os
 
-        monkeypatch.delenv(kernel.THREADS_ENV_VAR, raising=False)
+        monkeypatch.delenv(THREADS_ENV, raising=False)
         assert kernel.resolve_sim_threads() == min(4, os.cpu_count() or 1)
 
     def test_env_sets_count(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
+        monkeypatch.setenv(THREADS_ENV, "3")
         assert kernel.resolve_sim_threads() == 3
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        kernel.set_sim_threads(2)
-        assert kernel.resolve_sim_threads() == 2
+        monkeypatch.setenv(THREADS_ENV, "3")
+        with kernel.sim_threads_scope(2):
+            assert kernel.resolve_sim_threads() == 2
 
     def test_scope_beats_override(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
-        kernel.set_sim_threads(2)
-        with kernel.sim_threads_scope(5):
-            assert kernel.resolve_sim_threads() == 5
-            with kernel.sim_threads_scope(7):  # scopes nest
-                assert kernel.resolve_sim_threads() == 7
-            assert kernel.resolve_sim_threads() == 5
-        assert kernel.resolve_sim_threads() == 2
+        monkeypatch.setenv(THREADS_ENV, "3")
+        with kernel.sim_threads_scope(2):
+            with kernel.sim_threads_scope(5):  # scopes nest
+                assert kernel.resolve_sim_threads() == 5
+                with kernel.sim_threads_scope(7):
+                    assert kernel.resolve_sim_threads() == 7
+                assert kernel.resolve_sim_threads() == 5
+            assert kernel.resolve_sim_threads() == 2
+        assert kernel.resolve_sim_threads() == 3
 
     def test_explicit_value_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "3")
+        monkeypatch.setenv(THREADS_ENV, "3")
         with kernel.sim_threads_scope(5):
             assert kernel.resolve_sim_threads(9) == 9
 
     def test_none_scope_is_noop(self, monkeypatch):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, "6")
+        monkeypatch.setenv(THREADS_ENV, "6")
         with kernel.sim_threads_scope(None):
             assert kernel.resolve_sim_threads() == 6
 
     @pytest.mark.parametrize("bad", ["0", "-1", "x"])
     def test_invalid_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(kernel.THREADS_ENV_VAR, bad)
+        monkeypatch.setenv(THREADS_ENV, bad)
         with pytest.raises(ValueError, match="thread count"):
             kernel.resolve_sim_threads()
 
     @pytest.mark.parametrize("bad", [0, -3, "many"])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError, match="thread count"):
-            kernel.set_sim_threads(bad)
+            with kernel.sim_threads_scope(bad):
+                pass
 
 
 class TestChunkSizing:
@@ -208,12 +214,11 @@ class TestBackendParity:
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
         for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
-            assert equivalent(m1, m1.clone()), name
-            assert not equivalent(m1, flipped), name
+            with kernel.backend_scope(name):
+                assert equivalent(m1, m1.clone()), name
+                assert not equivalent(m1, flipped), name
 
-    def test_equivalent_after_interleaved_simulate(self):
-        kernel.set_backend("numpy")
+    def test_equivalent_after_interleaved_simulate(self, numpy_backend):
         mig = make_random_mig(8, 60, seed=23)
         reference = truth_tables(mig)
         rng = random.Random(0)
@@ -221,8 +226,7 @@ class TestBackendParity:
         simulate(mig, [rng.getrandbits(256) for _ in range(8)], mask)
         assert truth_tables(mig) == reference
 
-    def test_plan_invalidated_on_mutation(self):
-        kernel.set_backend("numpy")
+    def test_plan_invalidated_on_mutation(self, numpy_backend):
         mig = Mig()
         a, b, c = mig.add_pi("a"), mig.add_pi("b"), mig.add_pi("c")
         mig.add_po(mig.add_maj(a, b, c), "f")
@@ -230,10 +234,9 @@ class TestBackendParity:
         mig.add_po(mig.add_xor(a, b), "x")
         assert truth_tables(mig) == [0b11101000, 0b01100110]
 
-    def test_equivalent_is_thread_safe_on_shared_graphs(self):
+    def test_equivalent_is_thread_safe_on_shared_graphs(self, numpy_backend):
         import threading
 
-        kernel.set_backend("numpy")
         mig = make_random_mig(9, 120, seed=31)
         clone = mig.clone()
         failures = []
@@ -251,8 +254,7 @@ class TestBackendParity:
             t.join()
         assert not failures
 
-    def test_equivalent_same_object_both_sides(self):
-        kernel.set_backend("numpy")
+    def test_equivalent_same_object_both_sides(self, numpy_backend):
         mig = make_random_mig(8, 60, seed=33)
         assert equivalent(mig, mig)
 
@@ -264,8 +266,8 @@ class TestBackendParity:
         a, b = m2.add_pi("a"), m2.add_pi("b")
         m2.add_po(m2.add_or(a, b), "f")
         for name in ("bigint", "numpy"):
-            kernel.set_backend(name)
-            cex = find_counterexample(m1, m2)
+            with kernel.backend_scope(name):
+                cex = find_counterexample(m1, m2)
             assert cex is not None
             assert (cex["a"] & cex["b"]) != (cex["a"] | cex["b"]), name
 
@@ -336,19 +338,17 @@ class TestBatchParity(TestBackendParity):
                         mig, base, width
                     ) == expected, (base, threads)
 
-    def test_equivalent_threaded_stripes(self):
+    def test_equivalent_threaded_stripes(self, numpy_backend):
         m1 = make_random_mig(12, 250, seed=27)
         flipped = m1.clone()
         flipped._pos[0] = complement(flipped._pos[0])
-        kernel.set_backend("numpy")
         with kernel.sim_threads_scope(4):
             assert equivalent(m1, m1.clone())
             assert not equivalent(m1, flipped)
 
-    def test_per_thread_executables_are_isolated(self):
+    def test_per_thread_executables_are_isolated(self, numpy_backend):
         import threading
 
-        kernel.set_backend("numpy")
         mig = make_random_mig(10, 150, seed=43)
         reference = truth_tables(mig, kernel=kernel._BIGINT)
         failures = []

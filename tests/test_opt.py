@@ -20,24 +20,18 @@ from repro.opt import (
     get_objective,
     get_pass,
     get_strategy,
-    opt_from_env,
     register_objective,
     register_pass,
     register_strategy,
     resolve_optimizer,
     rewrite,
 )
-from repro.opt.engine import OPT_ENV_VAR
+from repro.settings import SETTINGS
 from repro.synth.registry import build_benchmark
 from .conftest import make_random_mig
 
 ENDURANCE = get_architecture("endurance")
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    kernel.set_backend(None)
+OPT_ENV_VAR = SETTINGS["opt"].env
 
 
 class TestPassRegistry:
@@ -252,12 +246,12 @@ class TestResolutionPrecedence:
     def test_default_when_nothing_selected(self, monkeypatch):
         monkeypatch.delenv(OPT_ENV_VAR, raising=False)
         assert resolve_optimizer(None).label() == "script"
-        assert opt_from_env() is None
+        assert SETTINGS["opt"].env_value() is None
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(OPT_ENV_VAR, "greedy:node_count")
         assert resolve_optimizer(None).label() == "greedy:node_count"
-        assert opt_from_env() == "greedy:node_count"
+        assert SETTINGS["opt"].env_value().label() == "greedy:node_count"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(OPT_ENV_VAR, "greedy")

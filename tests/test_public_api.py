@@ -6,6 +6,8 @@ user.  Extending the API is fine — update the snapshot in the same
 change, deliberately.
 """
 
+import os
+
 import repro
 import repro.arch
 import repro.cachesvc
@@ -13,6 +15,7 @@ import repro.flow
 import repro.opt
 import repro.resilience
 import repro.serve
+import repro.settings
 
 #: The blessed root namespace.  Additions are appended deliberately;
 #: removals are breaking changes and need a deprecation cycle.
@@ -56,7 +59,6 @@ ROOT_API = [
     "register_architecture",
     "register_objective",
     "register_source",
-    "resolve_cache_url",
     "resolve_optimizer",
     "resolve_source",
     "simulate",
@@ -67,14 +69,12 @@ ROOT_API = [
 
 #: The blessed repro.arch namespace (the machine-model layer).
 ARCH_API = [
-    "ARCH_ENV_VAR",
     "Architecture",
     "ArchitectureError",
     "CostModel",
     "DEFAULT_ARCHITECTURE",
     "EnduranceModel",
     "Geometry",
-    "arch_from_env",
     "available_architectures",
     "get_architecture",
     "register_architecture",
@@ -89,7 +89,6 @@ OPT_API = [
     "DEFAULT_LOOKAHEAD",
     "DEFAULT_OBJECTIVE",
     "DEFAULT_OPTIMIZER",
-    "OPT_ENV_VAR",
     "Objective",
     "OptLike",
     "Optimizer",
@@ -106,7 +105,6 @@ OPT_API = [
     "get_objective",
     "get_pass",
     "get_strategy",
-    "opt_from_env",
     "register_objective",
     "register_pass",
     "register_strategy",
@@ -122,14 +120,12 @@ SOURCE_API = [
     "FrontendSource",
     "MigSource",
     "RegistrySource",
-    "SOURCE_ENV_VAR",
     "Source",
     "SourceLike",
     "available_sources",
     "get_source",
     "register_source",
     "resolve_source",
-    "source_from_env",
 ]
 
 #: The blessed repro.resilience namespace (the reliability substrate).
@@ -141,12 +137,10 @@ RESILIENCE_API = [
     "FaultPlan",
     "MANIFEST_SCHEMA",
     "PermanentFault",
-    "RETRY_ENV_VAR",
     "ReproError",
     "RetriesExhaustedError",
     "RetryPolicy",
     "StageTimeoutError",
-    "TIMEOUT_ENV_VAR",
     "Timeouts",
     "TransientFault",
     "WorkerCrashError",
@@ -160,10 +154,7 @@ RESILIENCE_API = [
     "load_manifest",
     "manifest_path",
     "parse_faults",
-    "resolve_retry",
-    "resolve_timeouts",
     "time_limit",
-    "timeouts_from_env",
     "verify_manifest",
     "write_manifest",
 ]
@@ -187,7 +178,6 @@ SERVE_API = [
 
 #: The blessed repro.cachesvc namespace (the shared compile cache).
 CACHESVC_API = [
-    "CACHE_URL_ENV_VAR",
     "CacheServer",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_MEMORY_BYTES",
@@ -195,7 +185,15 @@ CACHESVC_API = [
     "MemoryTier",
     "RemoteCache",
     "create_cache_server",
-    "resolve_cache_url",
+]
+
+#: The blessed repro.settings namespace (the settings table).
+SETTINGS_API = [
+    "BACKEND_CHOICES",
+    "PRESET_CHOICES",
+    "SETTINGS",
+    "Setting",
+    "positive_int",
 ]
 
 #: The blessed repro.flow namespace.
@@ -209,7 +207,6 @@ FLOW_API = [
     "SessionSpec",
     "StageArtifact",
     "StageEvent",
-    "resolve_cache_dir",
 ]
 
 
@@ -337,8 +334,8 @@ class TestServeNamespace:
 
     def test_env_var_names_stable(self):
         """Environment knobs are API for scripts and CI jobs."""
-        assert repro.resilience.RETRY_ENV_VAR == "REPRO_RETRIES"
-        assert repro.resilience.TIMEOUT_ENV_VAR == "REPRO_TIMEOUT"
+        assert repro.settings.SETTINGS["retries"].env == "REPRO_RETRIES"
+        assert repro.settings.SETTINGS["timeouts"].env == "REPRO_TIMEOUT"
 
 
 class TestCachesvcNamespace:
@@ -352,11 +349,10 @@ class TestCachesvcNamespace:
     def test_cachesvc_types_exported_at_root(self):
         assert repro.RemoteCache is repro.cachesvc.RemoteCache
         assert repro.create_cache_server is repro.cachesvc.create_cache_server
-        assert repro.resolve_cache_url is repro.cachesvc.resolve_cache_url
 
     def test_env_var_name_stable(self):
         """$REPRO_CACHE_URL is API for scripts and CI jobs."""
-        assert repro.cachesvc.CACHE_URL_ENV_VAR == "REPRO_CACHE_URL"
+        assert repro.settings.SETTINGS["cache_url"].env == "REPRO_CACHE_URL"
 
 
 class TestFlowNamespace:
@@ -373,3 +369,38 @@ class TestFlowNamespace:
     def test_choice_lists_stable(self):
         assert repro.flow.PRESET_CHOICES == ["tiny", "default", "paper"]
         assert repro.flow.BACKEND_CHOICES == ["auto", "bigint", "numpy"]
+
+
+class TestSettingsNamespace:
+    def test_all_snapshot(self):
+        assert sorted(repro.settings.__all__) == sorted(SETTINGS_API)
+
+    def test_every_name_resolves(self):
+        for name in repro.settings.__all__:
+            assert getattr(repro.settings, name) is not None
+
+    def test_flow_choice_lists_are_the_tables(self):
+        assert repro.flow.PRESET_CHOICES is repro.settings.PRESET_CHOICES
+        assert repro.flow.BACKEND_CHOICES is repro.settings.BACKEND_CHOICES
+
+    def test_rows_stable(self):
+        """Every flag, environment variable and default is API for
+        scripts and CI jobs."""
+        rows = {
+            row.name: (row.flag, row.env, row.default)
+            for row in repro.settings.SETTINGS.values()
+        }
+        cpus = str(min(4, os.cpu_count() or 1))
+        assert rows == {
+            "preset": ("--preset", None, "default"),
+            "backend": ("--backend", "REPRO_SIM_BACKEND", "auto"),
+            "sim_threads": ("--sim-threads", "REPRO_SIM_THREADS", cpus),
+            "arch": ("--arch", "REPRO_ARCH", "endurance"),
+            "source": ("--source", "REPRO_SOURCE", None),
+            "opt": ("--opt", "REPRO_OPT", "script"),
+            "timeouts": ("--timeout", "REPRO_TIMEOUT", "0"),
+            "parallel": ("--parallel", None, None),
+            "cache_dir": ("--cache-dir", "REPRO_CACHE_DIR", None),
+            "cache_url": ("--cache-url", "REPRO_CACHE_URL", None),
+            "retries": ("--retries", "REPRO_RETRIES", "3"),
+        }

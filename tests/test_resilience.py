@@ -32,12 +32,12 @@ from repro.resilience import (
     load_manifest,
     manifest_path,
     parse_faults,
-    resolve_timeouts,
     time_limit,
     verify_manifest,
     write_manifest,
 )
 from repro.resilience import faults
+from repro.settings import SETTINGS
 from repro.resilience.manifest import append_manifest_events, build_manifest
 
 SUBSET = ["adder", "dec", "ctrl"]
@@ -183,16 +183,21 @@ class TestRetryPolicy:
         assert not excinfo.value.transient  # budget spent => permanent
 
 
+def resolve_retry(attempts=None):
+    """The retry policy the settings table resolves."""
+    return SETTINGS["retries"].value(attempts)
+
+
 class TestResolveRetry:
     def test_default_policy_without_flag_or_env(self, monkeypatch):
-        from repro.resilience import DEFAULT_POLICY, resolve_retry
+        from repro.resilience import DEFAULT_POLICY
 
         monkeypatch.delenv("REPRO_RETRIES", raising=False)
         assert resolve_retry() is DEFAULT_POLICY
         assert resolve_retry(None) is DEFAULT_POLICY
 
     def test_flag_overrides_attempt_budget(self):
-        from repro.resilience import DEFAULT_POLICY, resolve_retry
+        from repro.resilience import DEFAULT_POLICY
 
         policy = resolve_retry(5)
         assert policy.attempts == 5
@@ -200,25 +205,19 @@ class TestResolveRetry:
         assert resolve_retry("7").attempts == 7
 
     def test_env_var_used_when_no_flag(self, monkeypatch):
-        from repro.resilience import resolve_retry
-
         monkeypatch.setenv("REPRO_RETRIES", "4")
         assert resolve_retry().attempts == 4
 
     def test_flag_beats_env(self, monkeypatch):
-        from repro.resilience import resolve_retry
-
         monkeypatch.setenv("REPRO_RETRIES", "9")
         assert resolve_retry(2).attempts == 2
 
     def test_default_budget_returns_shared_policy(self, monkeypatch):
-        from repro.resilience import DEFAULT_POLICY, resolve_retry
+        from repro.resilience import DEFAULT_POLICY
 
         assert resolve_retry(DEFAULT_POLICY.attempts) is DEFAULT_POLICY
 
     def test_malformed_and_non_positive_rejected(self, monkeypatch):
-        from repro.resilience import resolve_retry
-
         with pytest.raises(ValueError, match="invalid retry budget"):
             resolve_retry("lots")
         with pytest.raises(ValueError, match=">= 1"):
@@ -260,11 +259,12 @@ class TestTimeouts:
         assert Timeouts.parse(None).spec() is None
 
     def test_resolution_precedence(self, monkeypatch):
+        timeouts = SETTINGS["timeouts"]
         monkeypatch.setenv("REPRO_TIMEOUT", "7")
-        assert resolve_timeouts("5").default == 5.0  # explicit beats env
-        assert resolve_timeouts(None).default == 7.0  # env beats nothing
+        assert timeouts.value("5").default == 5.0  # explicit beats env
+        assert timeouts.value().default == 7.0  # env beats nothing
         monkeypatch.delenv("REPRO_TIMEOUT")
-        assert resolve_timeouts(None).default is None
+        assert timeouts.value().default is None
 
     def test_session_threads_timeouts(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "compile=40")

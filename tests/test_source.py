@@ -22,16 +22,18 @@ from repro.source import (
     MigSource,
     RegistrySource,
     Source,
-    SOURCE_ENV_VAR,
     available_sources,
     get_source,
     register_source,
     resolve_source,
 )
+from repro.settings import SETTINGS
 from repro.source import registry as source_registry
 from repro.synth.frontend import mig_function
 from repro.synth.registry import BENCHMARK_ORDER
 from .conftest import make_random_mig
+
+SOURCE_ENV_VAR = SETTINGS["source"].env
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FULLADDER_BLIF = os.path.join(FIXTURES, "fulladder.blif")
